@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import io_formats
 from .regression import (
@@ -65,12 +64,28 @@ def example2_dataset(seed: int, points: int = 500) -> Dataset:
     return Dataset(xy, z)
 
 
+def logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of a finite 2-D array.
+
+    The arithmetic of scipy.special.logsumexp (scipy 1.17), so the example-3
+    targets stay bit-identical without loading scipy: the entries tied at the
+    row max are taken out of the sum and counted, m of them, and the result
+    is log1p(s / m) + log(m) + max with s the sum of exp(x - max) over the
+    rest.  The plain max + log(sum(exp(x - max))) differs in the last bit.
+    """
+    top = x.max(axis=1, keepdims=True)
+    tied = x == top
+    m = tied.sum(axis=1, keepdims=True, dtype=x.dtype)
+    s = np.exp(np.where(tied, -np.inf, x) - top).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + top)[:, 0]
+
+
 def example3_dataset() -> Dataset:
     """log(exp(x1)+exp(x2)+exp(x3)) on the integer grid {-5..5}^3."""
     v = np.arange(-5.0, 6.0)
     g = np.meshgrid(v, v, v, indexing="ij")
     pts = np.column_stack([a.ravel() for a in g])
-    return Dataset(pts, logsumexp(pts, axis=1))
+    return Dataset(pts, logsumexp_rows(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +200,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         solution = greedy_sparse_solve(problem)
     except Infeasible as exc:
-        io_formats.save_text(out / "report.json", io_formats.write_report(None, config.as_dict()))
+        io_formats.save_text(
+            out / "report.json",
+            io_formats.write_report(None, config.as_dict(), exc.full_support_error),
+        )
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     io_formats.save_text(out / "solution.csv", io_formats.write_vector(solution.x))

@@ -14,8 +14,11 @@ exception type escapes a parser.
 
 from __future__ import annotations
 
+import array
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -87,14 +90,15 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     return v
 
 
-def _split_rows(text: str) -> tuple[list[tuple[int, str]], tuple[int, int] | None]:
-    """Non-empty (lineno, line) pairs plus the `# m n` header shape, if any."""
-    lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not lines:
+def _split_rows(text: str) -> tuple[Iterator[tuple[int, str]], tuple[int, int] | None]:
+    """Non-empty (lineno, line) pairs, lazily, plus the `# m n` header shape, if any."""
+    lines = ((i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty document")
     declared = None
-    if lines[0][1].lstrip().startswith("#"):
-        lineno, header = lines[0]
+    if first[1].lstrip().startswith("#"):
+        lineno, header = first
         parts = header.lstrip()[1:].split()
         try:
             declared = (int(parts[0]), int(parts[1]))
@@ -102,16 +106,36 @@ def _split_rows(text: str) -> tuple[list[tuple[int, str]], tuple[int, int] | Non
                 raise ValueError
         except (ValueError, IndexError):
             raise ParseError("header must be '# m n'", lineno) from None
-        lines = lines[1:]
-        if not lines:
+        first = next(lines, None)
+        if first is None:
             raise ParseError("document has a header but no rows")
-    return lines, declared
+    return itertools.chain([first], lines), declared
+
+
+def _parse_row(cells: list[str], lineno: int) -> list[float]:
+    """One row's values: ``float`` on every cell, and the per-cell parser
+    for a row where that raises or yields a non-finite value.
+
+    A finite ``float(cell)`` equals ``_parse_cell(cell)``, so the per-cell
+    parser alone decides the inf tokens and every error and its position.
+    """
+    try:
+        vals = list(map(float, cells))
+    except ValueError:
+        vals = None
+    # a sum is finite only when every term is; a finite row whose sum
+    # overflows merely takes the per-cell path
+    if vals is None or not math.isfinite(sum(vals)):
+        vals = [_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)]
+    return vals
 
 
 def parse_matrix(text: str) -> np.ndarray:
     """Matrix from the CSV dialect; rows must be rectangular."""
     lines, declared = _split_rows(text)
-    rows = []
+    # rows are split and converted one at a time into a packed buffer, so no
+    # array is sized before every row's width has been checked
+    values = array.array("d")
     width = None
     for lineno, line in lines:
         cells = line.split(",")
@@ -119,8 +143,8 @@ def parse_matrix(text: str) -> np.ndarray:
             width = len(cells)
         elif len(cells) != width:
             raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
-        rows.append([_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)])
-    mat = np.array(rows, dtype=np.float64)
+        values.extend(_parse_row(cells, lineno))
+    mat = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
     if declared is not None and declared != mat.shape:
         raise ParseError(f"header declares {declared[0]}x{declared[1]} but data is {mat.shape[0]}x{mat.shape[1]}")
     return mat
@@ -292,9 +316,13 @@ def parse_model(text: str) -> PwlModel:
 def write_report(
     solution: SparseSolution | None,
     config: dict | None = None,
-    infeasible: bool = False,
+    full_support_error: float | None = None,
 ) -> str:
-    """Solve report JSON: support, errors, certificate, iteration count."""
+    """Solve report JSON: support, errors, certificate, iteration count.
+
+    Without a solution the budget was infeasible, and the report records
+    the full-support error that missed it.
+    """
     if solution is None:
         doc = {
             "support": [],
@@ -303,6 +331,7 @@ def write_report(
             "ratio_bound": None,
             "iterations": 0,
             "infeasible": True,
+            "full_support_error": _num_out(full_support_error),
         }
     else:
         doc = {
@@ -311,7 +340,7 @@ def write_report(
             "error_inf": _num_out(solution.error_inf),
             "ratio_bound": _num_out(solution.ratio_bound),
             "iterations": solution.iterations,
-            "infeasible": bool(infeasible),
+            "infeasible": False,
         }
     if config is not None:
         doc["config"] = config
@@ -329,8 +358,9 @@ def parse_report(text: str) -> dict:
         if key not in doc:
             raise ParseError(f"report missing required key {key!r}")
     doc = dict(doc)
-    for key in ("error_p", "error_inf", "ratio_bound"):
-        doc[key] = _num_in(doc[key], key, allow_none=True)
+    for key in ("error_p", "error_inf", "ratio_bound", "full_support_error"):
+        if key in doc:
+            doc[key] = _num_in(doc[key], key, allow_none=True)
     return doc
 
 

@@ -11,11 +11,11 @@ for the requested error budget.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .solver import FitProblem, greedy_sparse_solve
 from .tropical import ShapeError
@@ -171,12 +171,15 @@ def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ShapeError("lo and hi must be 1-D with the same length")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("grid corners must be finite")
     if np.any(hi < lo):
         raise ValueError("hi must be >= lo in every dimension")
     if not step > 0:
         raise ValueError("step must be positive")
-    counts = np.floor((hi - lo) / step + 1e-9).astype(int) + 1
-    total = int(np.prod(counts))
+    # Python ints: an int64 product wraps (2^64 -> 0) and slips past the cap
+    counts = [int(c) + 1 for c in np.floor((hi - lo) / step + 1e-9)]
+    total = math.prod(counts)
     if total > cap:
         raise ValueError(
             f"slope grid of {total} candidates exceeds cap {cap}; "
@@ -205,6 +208,8 @@ def gradient_slopes(data: Dataset, k_neighbors: int | None = None) -> SlopeSet:
     if m <= n:
         raise ValueError("need more samples than dimensions")
     k = min(k_neighbors, m)
+    from scipy.spatial import cKDTree  # imported here: its only user, and slow to load
+
     tree = cKDTree(data.x)
     _, idx = tree.query(data.x, k=k)
     slopes = []
@@ -257,6 +262,8 @@ def evaluate(model: PwlModel, x) -> np.ndarray | float:
     if not finite.any():
         raise ValueError("model has no active region (all intercepts pruned)")
     pts = np.asarray(x, dtype=np.float64)
+    if model.dim == 1 and pts.ndim == 1 and pts.size != 1:
+        pts = pts[:, np.newaxis]  # a 1-D model reads a flat array as a column of points
     single = pts.ndim <= 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != model.dim:

@@ -1,13 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tropfit
 from tropfit.cli import (
     example1_dataset,
     example2_dataset,
     example3_dataset,
+    logsumexp_rows,
     main,
     run_bench,
 )
@@ -74,6 +80,15 @@ class TestSolve:
         assert rc == 2
         assert parse_report((tmp_path / "report.json").read_text())["infeasible"] is True
         assert "infeasible" in capsys.readouterr().err
+
+    def test_infeasible_report_records_full_support_error(self, tmp_path):
+        a = tmp_path / "A.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0\n0\n")
+        b.write_text("0\n1\n")
+        rc = main(["solve", str(a), str(b), "--theta", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert parse_report((tmp_path / "report.json").read_text())["full_support_error"] == 1.0
 
     def test_shape_mismatch_exit_code(self, tmp_path, capsys):
         a = tmp_path / "A.csv"
@@ -196,6 +211,12 @@ class TestGenerators:
         i = np.nonzero((d.x == 0).all(axis=1))[0][0]
         assert d.f[i] == pytest.approx(math.log(3.0))
 
+    def test_example3_targets_match_scipy_logsumexp_bit_for_bit(self):
+        from scipy.special import logsumexp
+
+        x = example3_dataset().x
+        assert logsumexp_rows(x).tobytes() == logsumexp(x, axis=1).tobytes()
+
     def test_gen_example_writes(self, tmp_path):
         assert main(["gen-example", "2", "--seed", "9", "--out", str(tmp_path)]) == 0
         d = load_dataset(tmp_path / "example2.csv")
@@ -248,3 +269,12 @@ class TestRepro:
         monkeypatch.setattr(cli, "EXAMPLE1_P1", tampered)
         ok, detail = cli._check_example1()
         assert not ok, detail
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter on the tropfit under test; scipy loads only for --gradient-slopes
+    src = str(Path(tropfit.__file__).resolve().parents[1])
+    code = "import sys, tropfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tropfit.io_formats import (
     ParseError,
+    _parse_cell,
+    _split_rows,
     parse_dataset,
     parse_document,
     parse_matrix,
@@ -95,6 +97,117 @@ class TestMatrixVector:
     def test_vector_round_trip_exact(self):
         v = np.array([0.1, -1e300, NEG, math.pi, 3.0])
         assert np.array_equal(parse_vector(write_vector(v)), v)
+
+    def test_wide_first_row_then_ragged_is_a_parse_error(self):
+        # the width is checked row by row before any rows x width array exists
+        text = "0," * 10**6 + "0\n" + "0\n" * 10**6
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert exc.value.row == 2
+
+
+def per_cell_parse_matrix(text):
+    """Reference parser: every cell through _parse_cell, row by row."""
+    lines, declared = _split_rows(text)
+    rows = []
+    width = None
+    for lineno, line in lines:
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
+        rows.append([_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)])
+    mat = np.array(rows, dtype=np.float64)
+    if declared is not None and declared != mat.shape:
+        raise ParseError(f"header declares {declared[0]}x{declared[1]} but data is {mat.shape[0]}x{mat.shape[1]}")
+    return mat
+
+
+def inf_token(sign):
+    word = st.sampled_from(["-inf"] if sign < 0 else ["inf", "+inf"])
+    return word.flatmap(
+        lambda w: st.lists(st.booleans(), min_size=len(w), max_size=len(w)).map(
+            lambda up: "".join(c.upper() if u else c for c, u in zip(w, up))
+        )
+    )
+
+
+finite_token = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), "%.17g" % v])
+)
+padding = st.sampled_from(["", " ", "\t", "  \t "])
+cell_token = st.tuples(
+    padding, st.one_of(finite_token, inf_token(1), inf_token(-1)), padding
+).map("".join)
+
+
+@st.composite
+def matrix_text(draw, cell=cell_token):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    rows = [",".join(draw(cell) for _ in range(n)) for _ in range(m)]
+    if draw(st.booleans()):
+        rows.insert(0, f"# {m} {n}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+class TestRowFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_text())
+    def test_equals_per_cell_parse_bit_for_bit(self, text):
+        got = parse_matrix(text)
+        ref = per_cell_parse_matrix(text)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,nan\n2,3",
+            "1,2\n3,Infinity",
+            "1,-INFINITY",
+            "1e400,2",
+            "1,-1e400",
+            "1,,2",
+            "1, ,2",
+            "1,2\n3",
+            "1,2\n3,4,5",
+            "1,2\n3,4\n5,x",
+            "1,2\n3,4\n-inf,NaN",
+            "# 2 2\n1,2\n3,4\n5,6",
+        ],
+    )
+    def test_same_error_as_per_cell_parse(self, text):
+        with pytest.raises(ParseError) as ref:
+            per_cell_parse_matrix(text)
+        with pytest.raises(ParseError) as got:
+            parse_matrix(text)
+        assert (str(got.value), got.value.row, got.value.col) == (
+            str(ref.value),
+            ref.value.row,
+            ref.value.col,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        matrix_text(
+            st.one_of(
+                cell_token,
+                st.sampled_from(["nan", "-NaN", "Infinity", "1e400", "-1e999", "", " ", "x", "1,2"]),
+            )
+        )
+    )
+    def test_agrees_with_per_cell_parse_on_near_valid_input(self, text):
+        try:
+            ref = per_cell_parse_matrix(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_matrix(text)
+            assert (str(got.value), got.value.row, got.value.col) == (str(exc), exc.row, exc.col)
+        else:
+            assert parse_matrix(text).tobytes() == ref.tobytes()
 
 
 class TestDataset:
@@ -189,6 +302,10 @@ class TestReportJson:
     def test_infeasible_report(self):
         doc = parse_report(write_report(None))
         assert doc["infeasible"] is True and doc["support"] == []
+
+    def test_infeasible_report_keeps_full_support_error(self):
+        doc = parse_report(write_report(None, full_support_error=math.inf))
+        assert doc["full_support_error"] == math.inf
 
     def test_infinite_bound_token(self):
         text = write_report(None).replace('"ratio_bound": null', '"ratio_bound": "inf"')

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,20 @@ class TestGridSlopes:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             grid_slopes([0.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("dims, hi", [(64, 1.0), (40, 2.0)])
+    def test_cap_holds_where_int64_count_wraps(self, monkeypatch, dims, hi):
+        # 2^64 wraps to 0 and 3^40 to a negative count in int64
+        def no_grid(*axes):
+            raise AssertionError("grid built past the cap")
+
+        monkeypatch.setattr(itertools, "product", no_grid)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            grid_slopes([0.0] * dims, [hi] * dims, 1.0)
+
+    def test_nonfinite_corner_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            grid_slopes([0.0], [math.inf], 1.0)
 
 
 class TestGradientSlopes:
@@ -154,6 +171,14 @@ class TestFitEvaluateScore:
         assert evaluate(m, [3.0]) == 3.0
         assert evaluate(m, [-2.5]) == 2.5
         assert np.array_equal(evaluate(m, [[1.0], [-1.0]]), [1.0, 1.0])
+
+    def test_flat_array_is_a_column_for_a_1d_model(self):
+        m = PwlModel(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), p=1, theta=0.0, estimator="sgle")
+        x = np.linspace(-1, 1, 5)
+        assert np.array_equal(evaluate(m, x), np.abs(x))
+        assert np.array_equal(evaluate(m, x), evaluate(m, x[:, np.newaxis]))
+        m2 = PwlModel(np.array([[1.0, 0.0]]), np.array([0.0]), p=1, theta=0.0, estimator="sgle")
+        assert evaluate(m2, [3.0, 5.0]) == 3.0
 
     def test_pruned_region_never_wins(self):
         m = PwlModel(np.array([[1.0], [10.0]]), np.array([0.0, NEG]), p=1, theta=0.0, estimator="sgle")
