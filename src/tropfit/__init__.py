@@ -29,7 +29,6 @@ from .solver import (
     error_vector,
     greedy_sparse_solve,
     pnorm,
-    ratio_certificate,
     smmae_lift,
     submodularity_probe,
     submodularity_ratio,
@@ -71,7 +70,6 @@ __all__ = [
     "error_vector",
     "greedy_sparse_solve",
     "pnorm",
-    "ratio_certificate",
     "smmae_lift",
     "submodularity_probe",
     "submodularity_ratio",

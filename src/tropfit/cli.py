@@ -30,7 +30,6 @@ from .regression import (
     fit,
     gradient_slopes,
     grid_slopes,
-    score,
 )
 from .solver import (
     FitProblem,
@@ -219,7 +218,7 @@ def _fit_once(data: Dataset, slopes: SlopeSet, problem: FitProblem, seed: int):
     model = fit(data, slopes, problem, seed=seed)
     if model.support_size == 0:
         return model, Score(rms=math.nan, max_abs=math.nan, support=0)
-    return model, score(model, data)
+    return model, Score(rms=model.rms, max_abs=model.max_abs, support=model.support_size)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

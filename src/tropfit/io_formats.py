@@ -245,7 +245,13 @@ def _num_in(v, key: str, allow_none: bool = False) -> float | None:
         raise ParseError(f"key {key!r}: bad numeric token {v!r}")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"key {key!r}: expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        out = float(v)
+    except OverflowError:
+        raise ParseError(f"key {key!r}: integer out of float range") from None
+    if math.isnan(out):
+        raise ParseError(f"key {key!r}: NaN is not a value")
+    return out
 
 
 def write_model(model: PwlModel) -> str:
@@ -279,8 +285,10 @@ def parse_model(text: str) -> PwlModel:
     try:
         slopes = np.array(doc["slopes"], dtype=np.float64)
         intercepts = np.array([_num_in(v, "intercepts") for v in doc["intercepts"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad slopes/intercepts: {exc}") from None
+    if not np.isfinite(slopes).all():
+        raise ParseError("slopes must be finite")
     errors = doc["errors"]
     if not isinstance(errors, dict) or "rms" not in errors or "max_abs" not in errors:
         raise ParseError("model 'errors' must hold rms and max_abs")

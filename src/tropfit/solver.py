@@ -48,7 +48,6 @@ __all__ = [
     "error_p",
     "error_inf",
     "greedy_sparse_solve",
-    "ratio_certificate",
     "smmae_lift",
     "brute_force_oracle",
     "submodularity_ratio",
@@ -83,6 +82,13 @@ def pnorm(v, p: float) -> float:
     if math.isinf(m) or math.isinf(p):
         return m
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+
+
+def _theta_norm(v, p: float) -> float:
+    """theta-domain error of an error vector: ||v||_p, or half its max for p = inf."""
+    if math.isinf(p):
+        return 0.5 * float(v.max())
+    return pnorm(v, p)
 
 
 def _log_diff_exp(la: float, lb: float) -> float:
@@ -197,37 +203,30 @@ class SparseSolution:
     def iterations(self) -> int:
         return len(self.support)
 
-    @property
-    def support_set(self) -> frozenset:
-        return frozenset(self.support)
-
 
 class GreedyState:
     """Incremental error-function evaluator over a fixed instance.
 
-    Precomputes the principal solution xhat, the column contributions
-    A_j + xhat_j, and the per-singleton error vectors; from those every
-    candidate error e(T ∪ {s}) = min(e(T), e({s})) costs O(m).  ``cur``
-    tracks max_{j in T}(A_j + xhat_j) and stays <= b throughout.
+    Precomputes the principal solution xhat and the per-singleton error
+    vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps; from
+    those every candidate error e(T ∪ {s}) = min(e(T), e({s})) costs O(m).
     """
 
     def __init__(self, A, b):
-        self.A = as_matrix(A)
-        self.b = as_vector(b)
-        if self.A.shape[0] != self.b.shape[0]:
-            raise ShapeError(
-                f"matrix has {self.A.shape[0]} rows, vector has length {self.b.shape[0]}"
-            )
-        self.m, self.n = self.A.shape
-        self.xhat = principal_solution(self.A, self.b)
-        self.clamped_columns = tuple(int(j) for j in np.nonzero(np.isneginf(self.A).all(axis=0))[0])
-        self.contrib = maxplus_add(self.A, self.xhat[np.newaxis, :])
-        # rounding can push a contribution a hair above b; the error vector
-        # is non-negative by construction, so clamp
+        A = as_matrix(A)
+        b = as_vector(b)
+        if A.shape[0] != b.shape[0]:
+            raise ShapeError(f"matrix has {A.shape[0]} rows, vector has length {b.shape[0]}")
+        self.m, self.n = A.shape
+        self.xhat = principal_solution(A, b)
+        self.clamped_columns = tuple(int(j) for j in np.nonzero(np.isneginf(A).all(axis=0))[0])
+        # b minus the contributions A_j + xhat_j, in the buffer that holds
+        # them; rounding can push a contribution a hair above b, and the
+        # error vector is non-negative by construction, so clamp
+        e0 = maxplus_add(A, self.xhat[np.newaxis, :])
         with np.errstate(invalid="ignore"):
-            e0 = self.b[:, np.newaxis] - self.contrib
-        self.e0 = np.maximum(e0, 0.0)
-        self.cur = np.full(self.m, -np.inf)
+            np.subtract(b[:, np.newaxis], e0, out=e0)
+        self.e0 = np.maximum(e0, 0.0, out=e0)
         self.cur_error = self.e0.max(axis=1)  # e(empty) = singleton max
         self.selected: list[int] = []
         self._in_support = np.zeros(self.n, dtype=bool)
@@ -243,56 +242,45 @@ class GreedyState:
 
     def error_norm_of(self, T, p: float) -> float:
         """theta-domain error of a support: ||e(T)||_p, halved for p = inf."""
-        v = self.error_vector_of(T)
-        if math.isinf(p):
-            return 0.5 * float(v.max())
-        return pnorm(v, p)
+        return _theta_norm(self.error_vector_of(T), p)
 
     def full_support_norm(self, p: float) -> float:
-        v = self.e0.min(axis=1)
-        if math.isinf(p):
-            return 0.5 * float(v.max())
-        return pnorm(v, p)
+        return _theta_norm(self.e0.min(axis=1), p)
 
     def current_norm(self, p: float) -> float:
-        if math.isinf(p):
-            return 0.5 * float(self.cur_error.max())
-        return pnorm(self.cur_error, p)
+        return _theta_norm(self.cur_error, p)
 
-    def select_best(self, p: float) -> tuple[int, float]:
+    def select_best(self, p: float) -> int:
         """Argmin over unselected columns of the candidate error, lowest index on ties.
 
         Candidates whose max entry already exceeds the best exact norm found
         cannot win (||v||_p >= max|v|), so for finite p exact norms are
         evaluated in ascending order of that lower bound and the scan stops
-        early; this keeps high orders like p = 150 cheap at n = 1000.
+        early; this keeps high orders like p = 150 cheap at n = 1000.  For
+        p = inf the max entry is the norm.
         """
         cand = np.minimum(self.cur_error[:, np.newaxis], self.e0)
         lower = cand.max(axis=0)
         lower[self._in_support] = np.inf
         if math.isinf(p):
-            j = int(np.argmin(lower))
-            return j, 0.5 * float(lower[j])
-        norms = np.full(self.n, np.inf)
-        best = np.inf
-        for col in np.argsort(lower, kind="stable"):
-            if lower[col] > best:
-                break
-            if self._in_support[col]:
-                continue
-            norms[col] = pnorm(cand[:, col], p)
-            if norms[col] < best:
-                best = norms[col]
-        winners = np.nonzero((norms == best) & ~self._in_support)[0]
-        if winners.size == 0:  # every candidate is +inf
-            winners = np.nonzero(~self._in_support)[0]
+            norms = lower
+        else:
+            norms = np.full(self.n, np.inf)
             best = np.inf
-        return int(winners[0]), float(best)
+            for col in np.argsort(lower, kind="stable"):
+                if lower[col] > best:
+                    break
+                if self._in_support[col]:
+                    continue
+                norms[col] = pnorm(cand[:, col], p)
+                if norms[col] < best:
+                    best = norms[col]
+        free = ~self._in_support
+        return int(np.flatnonzero(free & (norms == norms[free].min()))[0])
 
     def select(self, j: int) -> None:
         if self._in_support[j]:
             raise ValueError(f"column {j} already selected")
-        self.cur = np.maximum(self.cur, self.contrib[:, j])
         self.cur_error = np.minimum(self.cur_error, self.e0[:, j])
         self.selected.append(int(j))
         self._in_support[j] = True
@@ -316,12 +304,12 @@ def error_p(A, b, T, p: float) -> float:
     """
     if math.isinf(p):
         raise ValueError("use error_inf for the l-infinity error")
-    return pnorm(GreedyState(A, b).error_vector_of(T), p)
+    return GreedyState(A, b).error_norm_of(T, p)
 
 
 def error_inf(A, b, T) -> float:
     """Half the l-infinity norm of e(T): the best max-abs error on support T."""
-    return 0.5 * float(GreedyState(A, b).error_vector_of(T).max())
+    return GreedyState(A, b).error_norm_of(T, math.inf)
 
 
 def _certificate_from(m: int, delta: float, p: float, theta: float, prev_norm: float) -> float:
@@ -339,20 +327,6 @@ def _certificate_from(m: int, delta: float, p: float, theta: float, prev_norm: f
         # nothing can be certified
         return math.inf
     return 1.0 + (log_num - log_den)
-
-
-def ratio_certificate(solution: SparseSolution, problem: FitProblem) -> float | None:
-    """Certified upper bound on |T_greedy| / |T_optimal| for a finite-p greedy run.
-
-    None when the greedy made no iterations (budget met by the empty set) or
-    for the guarantee-free l-infinity variant.
-    """
-    if math.isinf(solution.p) or not solution.support:
-        return None
-    state = GreedyState(problem.A, problem.b)
-    k = len(solution.support)
-    prev_norm = solution.trace.initial_error if k == 1 else solution.trace.iterations[k - 2][1]
-    return _certificate_from(state.m, float(state.e0.max()), solution.p, solution.theta, prev_norm)
 
 
 def _finalize(
@@ -413,7 +387,7 @@ def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
     initial = current
     steps: list[tuple[int, float]] = []
     while current > budget and len(state.selected) < state.n:
-        j, _ = state.select_best(p)
+        j = state.select_best(p)
         state.select(j)
         # recompute on the updated state so the traced error, the budget test
         # and the final error_p share one arithmetic path
@@ -479,10 +453,8 @@ def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolu
             if state.error_norm_of(T, p) <= budget:
                 trace = GreedyTrace(initial_error=initial, clamped_columns=state.clamped_columns)
                 return _finalize(state, T, problem, trace, None)
-    raise Infeasible(
-        f"full support error {state.full_support_norm(p):.6g} exceeds budget {budget:.6g}",
-        full_support_error=state.full_support_norm(p),
-    )
+    full = state.full_support_norm(p)
+    raise Infeasible(f"full support error {full:.6g} exceeds budget {budget:.6g}", full_support_error=full)
 
 
 def _log_power_drop(norm_hi: float, norm_lo: float, p: float) -> float:
@@ -501,19 +473,21 @@ def submodularity_ratio(A, b, p: float, L, S) -> float:
     p-th-power domain for finite p (log-domain arithmetic) and the halved
     max-error for p = inf.  Returns inf when the denominator vanishes.
     """
-    state = GreedyState(A, b)
+    return _submodularity_ratio(GreedyState(A, b), p, L, S)
+
+
+def _submodularity_ratio(state: GreedyState, p: float, L, S) -> float:
     L = sorted(set(int(i) for i in L))
     S = sorted(set(int(i) for i in S))
     if set(L) & set(S) or not S:
         raise ValueError("S must be non-empty and disjoint from L")
-    if math.isinf(state.error_norm_of(L, p)):
+    base = state.error_norm_of(L, p)
+    if math.isinf(base):
         return math.nan  # an uncoverable row leaves every drop undefined
     if math.isinf(p):
-        base = state.error_norm_of(L, p)
         num = sum(base - state.error_norm_of(L + [x], p) for x in S)
         den = base - state.error_norm_of(L + S, p)
         return num / den if den > 0.0 else math.inf
-    base = state.error_norm_of(L, p)
     drops = [_log_power_drop(base, state.error_norm_of(L + [x], p), p) for x in S]
     finite = [d for d in drops if d > -math.inf]
     log_num = -math.inf
@@ -567,7 +541,7 @@ def submodularity_probe(A, b, p: float, trials: int, rng=None) -> ProbeReport:
             joint = state.error_norm_of(np.concatenate([L, S]), p)
             if not base - joint > 0.0:
                 continue
-            ratio = submodularity_ratio(A, b, p, L, S)
+            ratio = _submodularity_ratio(state, p, L, S)
             report.ratio_samples += 1
             if ratio < report.min_ratio:
                 report.min_ratio = ratio

@@ -253,8 +253,15 @@ class TestBench:
 
 
 class TestRepro:
+    def test_full_harness_passes(self, tmp_path):
+        # every check end to end, the three examples through the CLI's fit path
+        assert main(["repro", "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "repro.json").read_text())["results"]
+        assert len(results) == 4
+        assert all(r["pass"] for r in results), results
+
     def test_worked_example_check_passes(self, tmp_path):
-        # the full harness runs in the acceptance suite; here just the cheap check
+        # one check alone; test_full_harness_passes runs all four
         from tropfit.cli import _check_worked_example
 
         ok, detail = _check_worked_example()

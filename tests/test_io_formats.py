@@ -281,6 +281,33 @@ class TestModelJson:
         with pytest.raises(ParseError, match="support"):
             parse_model(json.dumps(doc))
 
+    @staticmethod
+    def with_value(path, value):
+        doc = json.loads(write_model(sample_model()))
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("path", [("theta",), ("slopes", 0, 0), ("intercepts", 0), ("errors", "rms")])
+    def test_integer_beyond_float_range_is_parse_error(self, path):
+        with pytest.raises(ParseError):
+            parse_model(self.with_value(path, 10**400))
+
+    @pytest.mark.parametrize(
+        "path", [("p",), ("theta",), ("slopes", 1, 0), ("intercepts", 2), ("errors", "max_abs")]
+    )
+    def test_nan_is_parse_error(self, path):
+        with pytest.raises(ParseError):
+            parse_model(self.with_value(path, math.nan))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, "inf"])
+    def test_infinite_slope_is_parse_error(self, value):
+        with pytest.raises(ParseError, match="slopes must be finite"):
+            parse_model(self.with_value(("slopes", 2, 1), value))
+
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_model("{not json")
@@ -310,6 +337,15 @@ class TestReportJson:
     def test_infinite_bound_token(self):
         text = write_report(None).replace('"ratio_bound": null', '"ratio_bound": "inf"')
         assert parse_report(text)["ratio_bound"] == math.inf
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, "NaN"], ids=["huge-integer", "nan"])
+    def test_integer_beyond_float_range_and_nan_are_parse_errors(self, value):
+        for key in ("error_p", "full_support_error"):
+            doc = json.loads(write_report(None, full_support_error=1.0))
+            text = json.dumps(doc).replace(f'"{key}": {json.dumps(doc[key])}', f'"{key}": {value}')
+            assert value in text
+            with pytest.raises(ParseError, match=key):
+                parse_report(text)
 
 
 def test_plot_data_columns():
