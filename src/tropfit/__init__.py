@@ -18,6 +18,7 @@ from .tropical import (
 )
 from .solver import (
     FitProblem,
+    GreedyPath,
     GreedyState,
     GreedyTrace,
     Infeasible,
@@ -41,6 +42,7 @@ from .regression import (
     build_design_matrix,
     evaluate,
     fit,
+    fit_path,
     gradient_slopes,
     grid_slopes,
     score,
@@ -59,6 +61,7 @@ __all__ = [
     "project_on_support",
     "support",
     "FitProblem",
+    "GreedyPath",
     "GreedyState",
     "GreedyTrace",
     "Infeasible",
@@ -80,6 +83,7 @@ __all__ = [
     "build_design_matrix",
     "evaluate",
     "fit",
+    "fit_path",
     "gradient_slopes",
     "grid_slopes",
     "score",

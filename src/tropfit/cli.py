@@ -24,10 +24,12 @@ import numpy as np
 from . import io_formats
 from .regression import (
     Dataset,
+    PwlModel,
     Score,
     SlopeSet,
     evaluate,
     fit,
+    fit_path,
     gradient_slopes,
     grid_slopes,
 )
@@ -214,8 +216,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_once(data: Dataset, slopes: SlopeSet, problem: FitProblem, seed: int):
-    model = fit(data, slopes, problem, seed=seed)
+def _scored(model: PwlModel | Infeasible) -> tuple[PwlModel, Score]:
+    """A fitted model with its score; an Infeasible from fit_path is raised."""
+    if isinstance(model, Infeasible):
+        raise model
     if model.support_size == 0:
         return model, Score(rms=math.nan, max_abs=math.nan, support=0)
     return model, Score(rms=model.rms, max_abs=model.max_abs, support=model.support_size)
@@ -236,7 +240,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         slope_origin=slopes.origin,
     )
     try:
-        model, s = _fit_once(data, slopes, problem, args.seed)
+        model, s = _scored(fit(data, slopes, problem, seed=args.seed))
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -263,52 +267,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     data = io_formats.load_dataset(args.dataset)
     slopes = _slope_set(args, data)
     ps = _parse_float_list(args.p_list)
-    if args.theta_list is not None:
-        budgets = [("theta", t) for t in _parse_float_list(args.theta_list)]
-    else:
-        budgets = [("epsilon", e) for e in _parse_float_list(args.epsilon_list)]
+    kind = "theta" if args.theta_list is not None else "epsilon"
+    budgets = _parse_float_list(args.theta_list if kind == "theta" else args.epsilon_list)
     if not ps or not budgets:
         raise ValueError("sweep needs at least one norm order and one budget")
     config = _config_from(
         args,
         dataset=args.dataset,
         p_list=ps,
-        budgets=[b for _, b in budgets],
-        budget_kind=budgets[0][0],
+        budgets=budgets,
+        budget_kind=kind,
         estimator=args.estimator,
         slope_count=slopes.size,
     )
+    # p-major, so fit_path runs one greedy per norm order for all its budgets
+    cells = [(p, val) for p in ps for val in budgets]
+    problems = [FitProblem(None, None, p=p, estimator=args.estimator, **{kind: val}) for p, val in cells]
     rows = []
-    for p in ps:
-        for kind, val in budgets:
-            problem = FitProblem(
-                None,
-                None,
-                p=p,
-                theta=val if kind == "theta" else None,
-                epsilon=val if kind == "epsilon" else None,
-                estimator=args.estimator,
+    for (p, val), model in zip(cells, fit_path(data, slopes, problems, args.seed)):
+        if isinstance(model, Infeasible):
+            rows.append([p, val, "", "", "", True])
+            continue
+        _, s = _scored(model)
+        rows.append([p, val, s.rms, s.max_abs, s.support, False])
+        tag = f"p{p:g}_{kind}{val:g}"
+        io_formats.save_text(out / f"model_{tag}.json", io_formats.write_model(model))
+        if model.support_size:
+            io_formats.save_text(
+                out / f"plot_{tag}.csv",
+                io_formats.write_plot_data(
+                    data,
+                    evaluate(model, data.x),
+                    comment="config: " + json.dumps(config.as_dict()),
+                ),
             )
-            tag = f"p{p:g}_{kind}{val:g}"
-            try:
-                model, s = _fit_once(data, slopes, problem, args.seed)
-            except Infeasible:
-                rows.append([p, val, "", "", "", True])
-                continue
-            rows.append([p, val, s.rms, s.max_abs, s.support, False])
-            io_formats.save_text(out / f"model_{tag}.json", io_formats.write_model(model))
-            if model.support_size:
-                io_formats.save_text(
-                    out / f"plot_{tag}.csv",
-                    io_formats.write_plot_data(
-                        data,
-                        evaluate(model, data.x),
-                        comment="config: " + json.dumps(config.as_dict()),
-                    ),
-                )
     _write_table(
         out / "sweep.csv",
-        ["p", budgets[0][0], "rms", "max_abs", "support", "infeasible"],
+        ["p", kind, "rms", "max_abs", "support", "infeasible"],
         rows,
         config,
     )
@@ -484,11 +479,15 @@ def _check_example1() -> tuple[bool, str]:
     slopes = grid_slopes([-20.0], [20.0], 0.125)
     notes = []
     ok = True
+    problems = [
+        FitProblem(None, None, p=1, theta=theta, estimator=estimator)
+        for theta in EXAMPLE1_P1
+        for estimator in ("sgle", "smmae")
+    ]
+    models = fit_path(data, slopes, problems, seed=0)  # one greedy run at p = 1
     for theta, (rms, supp) in EXAMPLE1_P1.items():
-        sgle, s = _fit_once(data, slopes, FitProblem(None, None, p=1, theta=theta), seed=0)
-        smmae, sm = _fit_once(
-            data, slopes, FitProblem(None, None, p=1, theta=theta, estimator="smmae"), seed=0
-        )
+        _, s = _scored(next(models))
+        _, sm = _scored(next(models))
         ok &= abs(s.support - supp) <= 1
         ok &= abs(s.rms - rms) <= 0.10 * rms
         # model re-evaluation rounds independently of the solver, hence the slack
@@ -500,15 +499,13 @@ def _check_example1() -> tuple[bool, str]:
 def _check_example2() -> tuple[bool, str]:
     slopes = grid_slopes([-10.0, -10.0], [10.0, 10.0], 0.25)
     bound = 10 ** (8 / 150) / 2
+    problems = [FitProblem(None, None, p=150, epsilon=1e8, estimator=e) for e in ("sgle", "smmae")]
     for seed in EXAMPLE2_SEEDS:
         data = example2_dataset(seed)
-        try:
-            sgle, s = _fit_once(data, slopes, FitProblem(None, None, p=150, epsilon=1e8), seed=seed)
-        except Infeasible:
+        sgle, smmae = fit_path(data, slopes, problems, seed=seed)
+        if isinstance(sgle, Infeasible):
             continue
-        smmae, sm = _fit_once(
-            data, slopes, FitProblem(None, None, p=150, epsilon=1e8, estimator="smmae"), seed=seed
-        )
+        (sgle, s), (smmae, sm) = _scored(sgle), _scored(smmae)
         residuals = data.f - evaluate(sgle, data.x)
         ok = (
             sm.max_abs <= bound
@@ -528,14 +525,22 @@ def _check_example3() -> tuple[bool, str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         slopes = gradient_slopes(data)
-    model, s = _fit_once(data, slopes, FitProblem(None, None, p=2, epsilon=1331.0), seed=0)
+    supports = []
+
+    def halvings():
+        # fit_path reads this lazily: each next budget is drawn after the last fit
+        eps = 1331.0
+        yield FitProblem(None, None, p=2, epsilon=eps)
+        while supports[-1] < 21 and eps > 1e-6:
+            eps /= 2.0
+            yield FitProblem(None, None, p=2, epsilon=eps)
+
+    fits = fit_path(data, slopes, halvings(), seed=0)  # one greedy run at p = 2
+    _, s = _scored(next(fits))
     ok = s.rms < 1.0 and s.support <= 6
-    supports = [s.support]
-    eps = 1331.0
-    while supports[-1] < 21 and eps > 1e-6:
-        eps /= 2.0
-        _, sk = _fit_once(data, slopes, FitProblem(None, None, p=2, epsilon=eps), seed=0)
-        supports.append(sk.support)
+    supports.append(s.support)
+    for model in fits:
+        supports.append(_scored(model)[1].support)
     ok &= all(a <= b for a, b in zip(supports, supports[1:]))
     return ok, f"K={s.support} rms={s.rms:.4f}; K sweep {supports}"
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver import FitProblem, greedy_sparse_solve
+from .solver import FitProblem, GreedyPath, Infeasible
+from .solver import greedy_sparse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .tropical import ShapeError
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "grid_slopes",
     "gradient_slopes",
     "fit",
+    "fit_path",
     "evaluate",
     "score",
 ]
@@ -240,20 +243,46 @@ def fit(data: Dataset, slopes: SlopeSet, problem: FitProblem, seed: int | None =
     every region pruned; its error fields stay None since there is nothing
     to evaluate.
     """
+    (model,) = fit_path(data, slopes, [problem], seed)
+    if isinstance(model, Infeasible):
+        raise model
+    return model
+
+
+def fit_path(
+    data: Dataset, slopes: SlopeSet, problems: Iterable[FitProblem], seed: int | None = None
+) -> Iterator[PwlModel | Infeasible]:
+    """Fit each problem in turn on one design matrix, yielding its model or its Infeasible.
+
+    Consecutive problems of one norm order share one GreedyPath, so a
+    p-major list of budgets costs one greedy run per norm order; the path is
+    dropped before the next order's is built.  Problems are read lazily, so
+    the next budget may depend on the models already yielded.
+    """
     A = build_design_matrix(data, slopes)
-    solution = greedy_sparse_solve(problem.with_data(A, data.f))
-    model = PwlModel(
-        slopes=slopes.slopes,
-        intercepts=solution.x,
-        p=problem.p,
-        theta=problem.budget,
-        estimator=solution.estimator,
-        seed=seed,
-    )
-    if not solution.support:
-        return model
-    s = score(model, data)
-    return replace(model, rms=s.rms, max_abs=s.max_abs)
+    path = None
+    for problem in problems:
+        if path is None or path.p != problem.p:
+            path = None  # release the previous run's state before building the next
+            path = GreedyPath(A, data.f, problem.p)
+        try:
+            solution = path.solve(problem)
+        except Infeasible as exc:
+            # without its traceback the exception holds no frame, and so no path
+            yield exc.with_traceback(None)
+            continue
+        model = PwlModel(
+            slopes=slopes.slopes,
+            intercepts=solution.x,
+            p=problem.p,
+            theta=problem.budget,
+            estimator=solution.estimator,
+            seed=seed,
+        )
+        if solution.support:
+            s = score(model, data)
+            model = replace(model, rms=s.rms, max_abs=s.max_abs)
+        yield model
 
 
 def evaluate(model: PwlModel, x) -> np.ndarray | float:

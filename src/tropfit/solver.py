@@ -43,6 +43,7 @@ __all__ = [
     "GreedyTrace",
     "SparseSolution",
     "GreedyState",
+    "GreedyPath",
     "pnorm",
     "error_vector",
     "error_p",
@@ -356,6 +357,63 @@ def _finalize(
     return solution
 
 
+def _infeasible(full: float, budget: float) -> Infeasible:
+    return Infeasible(f"full support error {full:.6g} exceeds budget {budget:.6g}", full_support_error=full)
+
+
+class GreedyPath:
+    """One greedy run on an instance at norm order ``p``, serving every budget.
+
+    The greedy's pick never depends on the budget, which only decides when
+    to stop, so the support at a budget is the shortest prefix of the run
+    whose error meets it.  The run advances only as far as the tightest
+    budget asked so far; budgets may come in any order, and each answer
+    equals an independent solve at that budget.  For p = inf the variant is
+    a comparison heuristic with no guarantee.
+    """
+
+    def __init__(self, A, b, p: float):
+        if math.isinf(p):
+            warnings.warn(
+                "the l-infinity greedy has no approximation guarantee and can be "
+                "arbitrarily far from the sparsest support",
+                stacklevel=2,
+            )
+        self.p = p
+        self.state = GreedyState(A, b)
+        self.full_norm = self.state.full_support_norm(p)
+        self.delta = float(self.state.e0.max())
+        self.errors = [self.state.current_norm(p)]  # E(empty), E(T_1), E(T_2), ...
+
+    def solve(self, problem: FitProblem) -> SparseSolution:
+        """The greedy solution at ``problem``'s budget and estimator (its data is ignored)."""
+        p = self.p
+        if problem.p != p:
+            raise ValueError(f"problem has norm order {problem.p}, the path {p}")
+        budget = problem.budget
+        if self.full_norm > budget:
+            raise _infeasible(self.full_norm, budget)
+        state = self.state
+        k = 0
+        while self.errors[k] > budget and k < state.n:
+            k += 1
+            if k == len(self.errors):
+                state.select(state.select_best(p))
+                # recompute on the updated state so the traced error, the budget
+                # test and the final error_p share one arithmetic path
+                self.errors.append(state.current_norm(p))
+        support = tuple(state.selected[:k])
+        bound = None
+        if not math.isinf(p) and support:
+            bound = _certificate_from(state.m, self.delta, p, budget, self.errors[k - 1])
+        trace = GreedyTrace(
+            initial_error=self.errors[0],
+            iterations=tuple(zip(support, self.errors[1 : k + 1])),
+            clamped_columns=state.clamped_columns,
+        )
+        return _finalize(state, support, problem, trace, bound)
+
+
 def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
     """Greedy minimum-support cover of the lp error budget (Infeasible if none).
 
@@ -364,46 +422,12 @@ def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
     the solution never overshoots b (lateness).  Ties in the greedy argmin
     go to the lowest column index, so identical inputs replay identically.
     For finite p a ratio certificate is attached; for p = inf the variant is
-    a comparison heuristic with no guarantee.
+    a comparison heuristic with no guarantee.  Many budgets on one instance
+    share one run through GreedyPath.
     """
     if problem.A is None or problem.b is None:
         raise ValueError("problem carries no equation data; use with_data(A, b)")
-    p = problem.p
-    if math.isinf(p):
-        warnings.warn(
-            "the l-infinity greedy has no approximation guarantee and can be "
-            "arbitrarily far from the sparsest support",
-            stacklevel=2,
-        )
-    budget = problem.budget
-    state = GreedyState(problem.A, problem.b)
-    full = state.full_support_norm(p)
-    if full > budget:
-        raise Infeasible(
-            f"full support error {full:.6g} exceeds budget {budget:.6g}",
-            full_support_error=full,
-        )
-    current = state.current_norm(p)
-    initial = current
-    steps: list[tuple[int, float]] = []
-    while current > budget and len(state.selected) < state.n:
-        j = state.select_best(p)
-        state.select(j)
-        # recompute on the updated state so the traced error, the budget test
-        # and the final error_p share one arithmetic path
-        current = state.current_norm(p)
-        steps.append((j, current))
-    support = tuple(state.selected)
-    bound = None
-    if not math.isinf(p) and support:
-        prev = initial if len(support) == 1 else steps[-2][1]
-        bound = _certificate_from(state.m, float(state.e0.max()), p, budget, prev)
-    trace = GreedyTrace(
-        initial_error=initial,
-        iterations=tuple(steps),
-        clamped_columns=state.clamped_columns,
-    )
-    return _finalize(state, support, problem, trace, bound)
+    return GreedyPath(problem.A, problem.b, problem.p).solve(problem)
 
 
 def smmae_lift(sgle: SparseSolution) -> SparseSolution:
@@ -438,7 +462,9 @@ def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolu
 
     Independent verifier for the greedy: walks supports in order of
     increasing cardinality (lexicographic within) and returns the first that
-    meets the budget, which is optimal.  Refuses n > ``max_columns``.
+    meets the budget, which is optimal.  Infeasible is raised before any
+    walk, by the greedy's rule: the full support misses the budget.
+    Refuses n > ``max_columns``.
     """
     if problem.A is None or problem.b is None:
         raise ValueError("problem carries no equation data; use with_data(A, b)")
@@ -447,14 +473,18 @@ def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolu
         raise ValueError(f"brute force refused: {state.n} columns > cap {max_columns}")
     p = problem.p
     budget = problem.budget
-    initial = state.current_norm(p)
-    for size in range(state.n + 1):
-        for T in itertools.combinations(range(state.n), size):
-            if state.error_norm_of(T, p) <= budget:
-                trace = GreedyTrace(initial_error=initial, clamped_columns=state.clamped_columns)
-                return _finalize(state, T, problem, trace, None)
     full = state.full_support_norm(p)
-    raise Infeasible(f"full support error {full:.6g} exceeds budget {budget:.6g}", full_support_error=full)
+    if full > budget:
+        raise _infeasible(full, budget)
+    # the full support meets the budget, so the walk ends by size n
+    T = next(
+        T
+        for size in range(state.n + 1)
+        for T in itertools.combinations(range(state.n), size)
+        if state.error_norm_of(T, p) <= budget
+    )
+    trace = GreedyTrace(initial_error=state.current_norm(p), clamped_columns=state.clamped_columns)
+    return _finalize(state, T, problem, trace, None)
 
 
 def _log_power_drop(norm_hi: float, norm_lo: float, p: float) -> float:

@@ -187,6 +187,33 @@ class TestFitAndSweep:
         assert (out / "model_p1_theta0.15.json").exists()
         assert (out / "plot_p2_theta1.csv").exists()
 
+    def test_sweep_matches_one_fit_per_budget(self, tmp_path):
+        # the sweep runs one greedy per p; each of its budgets must give what
+        # a fit of its own gives, whatever order the budgets come in
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        data = str(tmp_path / "example1.csv")
+        grid = ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.125"]
+        thetas = ["0.5", "0", "0.15", "1", "0.25"]
+        sweep = tmp_path / "sweep"
+        argv = ["sweep", data, *grid, "--p", "1,2", "--theta", ",".join(thetas), "--out", str(sweep)]
+        assert main(argv) == 0
+        rows = (sweep / "sweep.csv").read_text().strip().splitlines()[2:]
+        assert len(rows) == 2 * len(thetas)
+        cells = [(p, theta) for p in ("1", "2") for theta in thetas]
+        for (p, theta), row in zip(cells, rows):
+            out = tmp_path / f"fit_p{p}_theta{theta}"
+            rc = main(["fit", data, *grid, "--p", p, "--theta", theta, "--out", str(out)])
+            tag = f"p{p}_theta{theta}"
+            if row.endswith(",True"):
+                assert rc == 2
+                assert not (sweep / f"model_{tag}.json").exists()
+                continue
+            assert rc == 0
+            assert (sweep / f"model_{tag}.json").read_bytes() == (out / "model.json").read_bytes()
+            fit_row = (out / "fit.csv").read_text().strip().splitlines()[2]
+            assert row == fit_row + ",False"
+        assert sum(row.endswith(",True") for row in rows) == 2  # theta = 0 at both orders
+
 
 class TestGenerators:
     def test_example1_shape_and_values(self):

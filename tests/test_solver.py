@@ -3,11 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tropfit.solver import (
     FitProblem,
+    GreedyPath,
     GreedyState,
+    GreedyTrace,
     Infeasible,
+    _certificate_from,
+    _finalize,
     brute_force_oracle,
     error_inf,
     error_p,
@@ -335,6 +342,19 @@ class TestBruteForceOracle:
         with pytest.raises(Infeasible):
             brute_force_oracle(FitProblem(A, np.array([0.0, 5.0]), p=1, theta=1.0))
 
+    def test_infeasible_at_the_cap_raises_before_any_search(self, monkeypatch):
+        A = np.zeros((2, 20))
+        b = np.array([0.0, 5.0])
+        calls = []
+        search = GreedyState.error_norm_of
+        monkeypatch.setattr(
+            GreedyState, "error_norm_of", lambda self, T, p: calls.append(T) or search(self, T, p)
+        )
+        with pytest.raises(Infeasible) as info:
+            brute_force_oracle(FitProblem(A, b, p=1, theta=1.0))
+        assert info.value.full_support_error == GreedyState(A, b).full_support_norm(1)
+        assert calls == []
+
     def test_never_beaten_by_greedy(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -444,3 +464,107 @@ class TestFitProblem:
             FitProblem(A_REF, B_REF, p=1, theta=1.0, estimator="other")
         with pytest.raises(ValueError):
             FitProblem(A_REF, np.array([1.0, NEG, 0.0]), p=1, theta=1.0)
+
+
+def reference_greedy_solve(problem):
+    """The greedy as a single-budget loop on a fresh state, the reference GreedyPath must equal."""
+    p, budget = problem.p, problem.budget
+    state = GreedyState(problem.A, problem.b)
+    full = state.full_support_norm(p)
+    if full > budget:
+        raise Infeasible("full support misses the budget", full_support_error=full)
+    current = state.current_norm(p)
+    initial = current
+    steps = []
+    while current > budget and len(state.selected) < state.n:
+        j = state.select_best(p)
+        state.select(j)
+        current = state.current_norm(p)
+        steps.append((j, current))
+    support = tuple(state.selected)
+    bound = None
+    if not math.isinf(p) and support:
+        prev = initial if len(support) == 1 else steps[-2][1]
+        bound = _certificate_from(state.m, float(state.e0.max()), p, budget, prev)
+    trace = GreedyTrace(initial_error=initial, iterations=tuple(steps), clamped_columns=state.clamped_columns)
+    return _finalize(state, support, problem, trace, bound)
+
+
+def bits(v):
+    return None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+
+
+def solution_bits(sol):
+    trace = sol.trace
+    return (
+        bits(sol.x),
+        sol.support,
+        bits(sol.residual),
+        bits(sol.error_p),
+        bits(sol.error_inf),
+        bits(sol.ratio_bound),
+        bits(trace.initial_error),
+        tuple((j, bits(e)) for j, e in trace.iterations),
+        trace.clamped_columns,
+        sol.estimator,
+    )
+
+
+def outcome(solve, problem):
+    try:
+        return solve(problem)
+    except Infeasible as exc:
+        return exc
+
+
+@st.composite
+def path_instances(draw):
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    finite = st.floats(-20, 20)
+    # about one entry in four is -inf
+    A = draw(arrays(np.float64, (m, n), elements=st.one_of(finite, finite, finite, st.just(-np.inf))))
+    b = draw(arrays(np.float64, m, elements=st.floats(-10, 10)))
+    return A, b, draw(st.sampled_from([1.0, 2.0, 5.0, 150.0, math.inf]))
+
+
+class TestGreedyPath:
+    @settings(max_examples=150, deadline=None)
+    @given(path_instances(), st.data())
+    def test_every_budget_equals_an_independent_solve(self, instance, data):
+        A, b, p = instance
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
+            state = GreedyState(A, b)
+            full, top = state.full_support_norm(p), state.current_norm(p)
+            # the errors of the run down to the tightest feasible budget, so
+            # some budgets sit exactly on a step of the path
+            budgets = [top]
+            if math.isfinite(full):
+                tightest = reference_greedy_solve(FitProblem(A, b, p=p, theta=full))
+                budgets += [e for _, e in tightest.trace.iterations]
+            scale = top if 0.0 < top < math.inf else 10.0
+            budgets = [e for e in budgets if math.isfinite(e)] + [0.0, 1e9]
+            budgets += [f * scale for f in data.draw(st.lists(st.floats(0, 1.5), max_size=6))]
+            path = GreedyPath(A, b, p)
+            for theta in data.draw(st.permutations(budgets)):
+                sgle = None
+                for estimator in ("sgle", "smmae"):
+                    problem = FitProblem(A, b, p=p, theta=theta, estimator=estimator)
+                    got = outcome(path.solve, problem)
+                    want = outcome(reference_greedy_solve, problem)
+                    if isinstance(want, Infeasible):
+                        assert isinstance(got, Infeasible)
+                        assert bits(got.full_support_error) == bits(want.full_support_error)
+                        continue
+                    assert solution_bits(got) == solution_bits(want)
+                    if estimator == "sgle":
+                        # lateness: the SGLE solution never overshoots b
+                        assert (maxplus_product(A, got.x) <= b + 1e-9).all()
+                        sgle = got
+                    elif got.support and math.isfinite(sgle.error_inf):
+                        assert got.error_inf == 0.5 * sgle.error_inf  # the exact SMMAE halving
+
+    def test_rejects_another_norm_order(self):
+        path = GreedyPath(A_REF, B_REF, 1.0)
+        with pytest.raises(ValueError, match="norm order"):
+            path.solve(FitProblem(None, None, p=2.0, theta=1.0))
