@@ -25,9 +25,6 @@ from .solver import (
     ProbeReport,
     SparseSolution,
     brute_force_oracle,
-    error_inf,
-    error_p,
-    error_vector,
     greedy_sparse_solve,
     pnorm,
     smmae_lift,
@@ -68,9 +65,6 @@ __all__ = [
     "ProbeReport",
     "SparseSolution",
     "brute_force_oracle",
-    "error_inf",
-    "error_p",
-    "error_vector",
     "greedy_sparse_solve",
     "pnorm",
     "smmae_lift",

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,7 @@ from .regression import (
 )
 from .solver import (
     FitProblem,
+    GreedyPath,
     GreedyState,
     Infeasible,
     greedy_sparse_solve,
@@ -262,6 +264,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _labeler(values: list[float]):
+    """Names for file tags: a value's :g form, unless another of ``values``
+    shares that form, and then its repr, so no two values share a name."""
+    shared = Counter(f"{val:g}" for val in set(values))
+    return lambda val: repr(val) if shared[f"{val:g}"] > 1 else f"{val:g}"
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = _outdir(args)
     data = io_formats.load_dataset(args.dataset)
@@ -283,6 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # p-major, so fit_path runs one greedy per norm order for all its budgets
     cells = [(p, val) for p in ps for val in budgets]
     problems = [FitProblem(None, None, p=p, estimator=args.estimator, **{kind: val}) for p, val in cells]
+    p_label, label = _labeler(ps), _labeler(budgets)
     rows = []
     for (p, val), model in zip(cells, fit_path(data, slopes, problems, args.seed)):
         if isinstance(model, Infeasible):
@@ -290,7 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         _, s = _scored(model)
         rows.append([p, val, s.rms, s.max_abs, s.support, False])
-        tag = f"p{p:g}_{kind}{val:g}"
+        tag = f"p{p_label(p)}_{kind}{label(val)}"
         io_formats.save_text(out / f"model_{tag}.json", io_formats.write_model(model))
         if model.support_size:
             io_formats.save_text(
@@ -309,7 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     for row in rows:
         print(
-            f"p={row[0]:g} budget={row[1]:g}  "
+            f"p={p_label(row[0])} budget={label(row[1])}  "
             + ("infeasible" if row[5] else f"rms={row[2]:.4f} max_abs={row[3]:.4f} supp={row[4]}")
         )
     return 0
@@ -339,11 +349,10 @@ def _bench_trial(seed, m: int, n: int, delta: float, p: float) -> BenchRow:
     A = rng.normal(0.0, 2.0, size=(m, n))
     b = rng.normal(0.0, 1.0, size=m)
     trial = int(seed.spawn_key[-1]) if hasattr(seed, "spawn_key") else 0
+    state = GreedyState(A, b)  # both arms run on one instance build
     try:
-        heur = greedy_sparse_solve(
-            FitProblem(A, b, p=p, theta=2.0 * delta, estimator="smmae")
-        )
-        grd = greedy_sparse_solve(FitProblem(A, b, p=math.inf, theta=delta))
+        heur = GreedyPath(state, p).solve(FitProblem(None, None, p=p, theta=2.0 * delta, estimator="smmae"))
+        grd = GreedyPath(state, math.inf).solve(FitProblem(None, None, p=math.inf, theta=delta))
     except Infeasible:
         return BenchRow(trial, None, None, None, None, True)
     return BenchRow(

@@ -18,7 +18,7 @@ import array
 import itertools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -130,11 +130,13 @@ def _parse_row(cells: list[str], lineno: int) -> list[float]:
     return vals
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Matrix from the CSV dialect; rows must be rectangular."""
-    lines, declared = _split_rows(text)
-    # rows are split and converted one at a time into a packed buffer, so no
-    # array is sized before every row's width has been checked
+def _parse_table(lines: Iterable[tuple[int, str]], finite: bool = False) -> np.ndarray:
+    """Rows of one width through the row fast path, as a 2-D array.
+
+    Rows are split and converted one at a time into a packed buffer, so no
+    array is sized before every row's width has been checked.  With
+    ``finite`` an inf value is an error at its cell.
+    """
     values = array.array("d")
     width = None
     for lineno, line in lines:
@@ -143,8 +145,19 @@ def parse_matrix(text: str) -> np.ndarray:
             width = len(cells)
         elif len(cells) != width:
             raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
-        values.extend(_parse_row(cells, lineno))
-    mat = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+        vals = _parse_row(cells, lineno)
+        if finite and not math.isfinite(sum(vals)):
+            for j, v in enumerate(vals):
+                if math.isinf(v):
+                    raise ParseError("dataset values must be finite", lineno, j + 1)
+        values.extend(vals)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Matrix from the CSV dialect; rows must be rectangular."""
+    lines, declared = _split_rows(text)
+    mat = _parse_table(lines)
     if declared is not None and declared != mat.shape:
         raise ParseError(f"header declares {declared[0]}x{declared[1]} but data is {mat.shape[0]}x{mat.shape[1]}")
     return mat
@@ -178,22 +191,9 @@ def parse_dataset(text: str) -> Dataset:
         lines = lines[1:]
         if not lines:
             raise ParseError("dataset has a header but no rows") from None
-    rows = []
-    width = None
-    for lineno, line in lines:
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise ParseError("dataset needs at least one feature column and a target", lineno)
-        elif len(cells) != width:
-            raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
-        vals = [_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)]
-        for j, v in enumerate(vals):
-            if math.isinf(v):
-                raise ParseError("dataset values must be finite", lineno, j + 1)
-        rows.append(vals)
-    arr = np.array(rows, dtype=np.float64)
+    if len(lines[0][1].split(",")) < 2:
+        raise ParseError("dataset needs at least one feature column and a target", lines[0][0])
+    arr = _parse_table(lines, finite=True)
     return Dataset(arr[:, :-1], arr[:, -1])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver import FitProblem, GreedyPath, Infeasible
+from .solver import FitProblem, GreedyPath, GreedyState, Infeasible
 from .solver import greedy_sparse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .tropical import ShapeError
 
@@ -254,21 +254,21 @@ def fit_path(
 ) -> Iterator[PwlModel | Infeasible]:
     """Fit each problem in turn on one design matrix, yielding its model or its Infeasible.
 
-    Consecutive problems of one norm order share one GreedyPath, so a
-    p-major list of budgets costs one greedy run per norm order; the path is
-    dropped before the next order's is built.  Problems are read lazily, so
-    the next budget may depend on the models already yielded.
+    The design matrix is built, and its GreedyState with it, once for all
+    problems.  Consecutive problems of one norm order share one GreedyPath,
+    so a p-major list of budgets costs one greedy run per norm order.
+    Problems are read lazily, so the next budget may depend on the models
+    already yielded.
     """
-    A = build_design_matrix(data, slopes)
+    state = GreedyState(build_design_matrix(data, slopes), data.f)
     path = None
     for problem in problems:
         if path is None or path.p != problem.p:
-            path = None  # release the previous run's state before building the next
-            path = GreedyPath(A, data.f, problem.p)
+            path = GreedyPath(state, problem.p)
         try:
             solution = path.solve(problem)
         except Infeasible as exc:
-            # without its traceback the exception holds no frame, and so no path
+            # without its traceback the exception holds no frame, and so no state
             yield exc.with_traceback(None)
             continue
         model = PwlModel(

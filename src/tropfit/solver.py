@@ -12,6 +12,11 @@ approximation-ratio certificate.  The l-infinity variant of the greedy
 is shipped for comparison only: its error function is not even
 approximately supermodular, so it carries no guarantee.
 
+``GreedyState(A, b)`` is the read-only instance, xhat and the singleton
+error vectors, built once per (A, b); ``GreedyPath(GreedyState(A, b), p)``
+is one greedy run over it.  Every budget, norm order and estimator on an
+instance shares the one build.
+
 All lp errors are computed as norms (theta-domain) via max-scaling,
 which survives norm orders as high as p = 150 without overflow; the
 greedy argmin and the budget test are invariant under the monotone
@@ -45,9 +50,6 @@ __all__ = [
     "GreedyState",
     "GreedyPath",
     "pnorm",
-    "error_vector",
-    "error_p",
-    "error_inf",
     "greedy_sparse_solve",
     "smmae_lift",
     "brute_force_oracle",
@@ -206,11 +208,14 @@ class SparseSolution:
 
 
 class GreedyState:
-    """Incremental error-function evaluator over a fixed instance.
+    """The read-only instance the greedy works on: xhat and the singleton errors.
 
     Precomputes the principal solution xhat and the per-singleton error
     vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps; from
     those every candidate error e(T ∪ {s}) = min(e(T), e({s})) costs O(m).
+    Nothing in it changes after the build, so one state serves every budget,
+    norm order, run and estimator on (A, b); a run's progress lives in its
+    GreedyPath.
     """
 
     def __init__(self, A, b):
@@ -228,12 +233,12 @@ class GreedyState:
         with np.errstate(invalid="ignore"):
             np.subtract(b[:, np.newaxis], e0, out=e0)
         self.e0 = np.maximum(e0, 0.0, out=e0)
-        self.cur_error = self.e0.max(axis=1)  # e(empty) = singleton max
-        self.selected: list[int] = []
-        self._in_support = np.zeros(self.n, dtype=bool)
+        self.delta = float(self.e0.max())  # the certificate's largest singleton error
+        self.xhat.flags.writeable = False
+        self.e0.flags.writeable = False
 
     def error_vector_of(self, T) -> np.ndarray:
-        """e(T) for an arbitrary support set, independent of greedy progress."""
+        """e(T) for an arbitrary support set; e(empty) is the singleton max."""
         idx = np.asarray(sorted(set(int(j) for j in T)), dtype=np.intp)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
             raise ShapeError(f"support indices out of range for {self.n} columns")
@@ -248,11 +253,9 @@ class GreedyState:
     def full_support_norm(self, p: float) -> float:
         return _theta_norm(self.e0.min(axis=1), p)
 
-    def current_norm(self, p: float) -> float:
-        return _theta_norm(self.cur_error, p)
-
-    def select_best(self, p: float) -> int:
-        """Argmin over unselected columns of the candidate error, lowest index on ties.
+    def select_best(self, cur_error: np.ndarray, in_support: np.ndarray, p: float) -> int:
+        """Argmin over columns outside ``in_support`` of the error after adding
+        each to a support whose error is ``cur_error``; lowest index on ties.
 
         Candidates whose max entry already exceeds the best exact norm found
         cannot win (||v||_p >= max|v|), so for finite p exact norms are
@@ -260,9 +263,9 @@ class GreedyState:
         early; this keeps high orders like p = 150 cheap at n = 1000.  For
         p = inf the max entry is the norm.
         """
-        cand = np.minimum(self.cur_error[:, np.newaxis], self.e0)
+        cand = np.minimum(cur_error[:, np.newaxis], self.e0)
         lower = cand.max(axis=0)
-        lower[self._in_support] = np.inf
+        lower[in_support] = np.inf
         if math.isinf(p):
             norms = lower
         else:
@@ -271,46 +274,13 @@ class GreedyState:
             for col in np.argsort(lower, kind="stable"):
                 if lower[col] > best:
                     break
-                if self._in_support[col]:
+                if in_support[col]:
                     continue
                 norms[col] = pnorm(cand[:, col], p)
                 if norms[col] < best:
                     best = norms[col]
-        free = ~self._in_support
+        free = ~in_support
         return int(np.flatnonzero(free & (norms == norms[free].min()))[0])
-
-    def select(self, j: int) -> None:
-        if self._in_support[j]:
-            raise ValueError(f"column {j} already selected")
-        self.cur_error = np.minimum(self.cur_error, self.e0[:, j])
-        self.selected.append(int(j))
-        self._in_support[j] = True
-
-
-def error_vector(A, b, T) -> np.ndarray:
-    """Error vector e(T); e(empty set) is the elementwise singleton max.
-
-    Convenience wrapper that builds a fresh GreedyState; batch callers should
-    hold one state and use error_vector_of directly.
-    """
-    return GreedyState(A, b).error_vector_of(T)
-
-
-def error_p(A, b, T, p: float) -> float:
-    """theta-domain lp error of a support: the norm ||e(T)||_p.
-
-    The p-th-power error of the set-search formulation equals this value
-    raised to p; the root is a monotone reparameterization, so argmins and
-    budget comparisons are unchanged while p = 150 stays representable.
-    """
-    if math.isinf(p):
-        raise ValueError("use error_inf for the l-infinity error")
-    return GreedyState(A, b).error_norm_of(T, p)
-
-
-def error_inf(A, b, T) -> float:
-    """Half the l-infinity norm of e(T): the best max-abs error on support T."""
-    return GreedyState(A, b).error_norm_of(T, math.inf)
 
 
 def _certificate_from(m: int, delta: float, p: float, theta: float, prev_norm: float) -> float:
@@ -364,15 +334,17 @@ def _infeasible(full: float, budget: float) -> Infeasible:
 class GreedyPath:
     """One greedy run on an instance at norm order ``p``, serving every budget.
 
-    The greedy's pick never depends on the budget, which only decides when
-    to stop, so the support at a budget is the shortest prefix of the run
-    whose error meets it.  The run advances only as far as the tightest
-    budget asked so far; budgets may come in any order, and each answer
-    equals an independent solve at that budget.  For p = inf the variant is
-    a comparison heuristic with no guarantee.
+    The run owns its progress: the error vector of the support picked so
+    far, the picks, and each prefix's error; the instance is the shared,
+    read-only ``state``.  The greedy's pick never depends on the budget,
+    which only decides when to stop, so the support at a budget is the
+    shortest prefix of the run whose error meets it.  The run advances only
+    as far as the tightest budget asked so far; budgets may come in any
+    order, and each answer equals an independent solve at that budget.  For
+    p = inf the variant is a comparison heuristic with no guarantee.
     """
 
-    def __init__(self, A, b, p: float):
+    def __init__(self, state: GreedyState, p: float):
         if math.isinf(p):
             warnings.warn(
                 "the l-infinity greedy has no approximation guarantee and can be "
@@ -380,10 +352,12 @@ class GreedyPath:
                 stacklevel=2,
             )
         self.p = p
-        self.state = GreedyState(A, b)
-        self.full_norm = self.state.full_support_norm(p)
-        self.delta = float(self.state.e0.max())
-        self.errors = [self.state.current_norm(p)]  # E(empty), E(T_1), E(T_2), ...
+        self.state = state
+        self.full_norm = state.full_support_norm(p)
+        self.cur_error = state.error_vector_of([])
+        self.selected: list[int] = []
+        self._in_support = np.zeros(state.n, dtype=bool)
+        self.errors = [_theta_norm(self.cur_error, p)]  # E(empty), E(T_1), E(T_2), ...
 
     def solve(self, problem: FitProblem) -> SparseSolution:
         """The greedy solution at ``problem``'s budget and estimator (its data is ignored)."""
@@ -398,14 +372,17 @@ class GreedyPath:
         while self.errors[k] > budget and k < state.n:
             k += 1
             if k == len(self.errors):
-                state.select(state.select_best(p))
-                # recompute on the updated state so the traced error, the budget
-                # test and the final error_p share one arithmetic path
-                self.errors.append(state.current_norm(p))
-        support = tuple(state.selected[:k])
+                j = state.select_best(self.cur_error, self._in_support, p)
+                self.cur_error = np.minimum(self.cur_error, state.e0[:, j])
+                self.selected.append(j)
+                self._in_support[j] = True
+                # the error of the updated support, so the traced error, the
+                # budget test and the final error_p share one arithmetic path
+                self.errors.append(_theta_norm(self.cur_error, p))
+        support = tuple(self.selected[:k])
         bound = None
         if not math.isinf(p) and support:
-            bound = _certificate_from(state.m, self.delta, p, budget, self.errors[k - 1])
+            bound = _certificate_from(state.m, state.delta, p, budget, self.errors[k - 1])
         trace = GreedyTrace(
             initial_error=self.errors[0],
             iterations=tuple(zip(support, self.errors[1 : k + 1])),
@@ -423,11 +400,11 @@ def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
     go to the lowest column index, so identical inputs replay identically.
     For finite p a ratio certificate is attached; for p = inf the variant is
     a comparison heuristic with no guarantee.  Many budgets on one instance
-    share one run through GreedyPath.
+    share one run through GreedyPath, and many runs one GreedyState.
     """
     if problem.A is None or problem.b is None:
         raise ValueError("problem carries no equation data; use with_data(A, b)")
-    return GreedyPath(problem.A, problem.b, problem.p).solve(problem)
+    return GreedyPath(GreedyState(problem.A, problem.b), problem.p).solve(problem)
 
 
 def smmae_lift(sgle: SparseSolution) -> SparseSolution:
@@ -483,7 +460,7 @@ def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolu
         for T in itertools.combinations(range(state.n), size)
         if state.error_norm_of(T, p) <= budget
     )
-    trace = GreedyTrace(initial_error=state.current_norm(p), clamped_columns=state.clamped_columns)
+    trace = GreedyTrace(initial_error=state.error_norm_of([], p), clamped_columns=state.clamped_columns)
     return _finalize(state, T, problem, trace, None)
 
 

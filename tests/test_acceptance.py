@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from tropfit.cli import example1_dataset, example2_dataset, example3_dataset, run_bench
+from tropfit.cli import EXAMPLE1_P1, example1_dataset, example2_dataset, example3_dataset, run_bench
 from tropfit.io_formats import (
     ParseError,
     parse_document,
@@ -96,7 +96,7 @@ def test_criterion_2_greedy_vs_oracle():
         p = (1, 2, 5)[i % 3]
         state = GreedyState(A, b)
         full = state.full_support_norm(p)
-        empty = state.current_norm(p)
+        empty = state.error_norm_of([], p)
         theta = full + float(rng.uniform(0, 1.15)) * max(empty - full, 0.0)
         problem = FitProblem(A, b, p=p, theta=theta)
         greedy = greedy_sparse_solve(problem)  # must not raise: theta >= ||e(J)||_p
@@ -165,9 +165,8 @@ def test_criterion_5_example1_reproduction():
     data = example1_dataset()
     slopes = grid_slopes([-20.0], [20.0], 0.125)
     design = build_design_matrix(data, slopes)
-    reference = {0.15: (15, 0.0038), 0.25: (13, 0.0057), 0.5: (11, 0.0120), 1.0: (8, 0.0202)}
     details = []
-    for theta, (supp, rms) in reference.items():
+    for theta, (rms, supp) in EXAMPLE1_P1.items():
         problem = FitProblem(None, None, p=1, theta=theta)
         sgle_model = fit(data, slopes, problem)
         s = score(sgle_model, data)

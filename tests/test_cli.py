@@ -214,6 +214,28 @@ class TestFitAndSweep:
             assert row == fit_row + ",False"
         assert sum(row.endswith(",True") for row in rows) == 2  # theta = 0 at both orders
 
+    def test_sweep_values_with_one_short_name_keep_their_own_files(self, tmp_path, capsys):
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        capsys.readouterr()
+
+        def sweep(ps, thetas, out):
+            grid = ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.125"]
+            argv = ["sweep", str(tmp_path / "example1.csv"), *grid, "--p", ps, "--theta", thetas]
+            assert main([*argv, "--out", str(out)]) == 0
+            return sorted(path.name for path in out.glob("model_*.json")), capsys.readouterr().out
+
+        models, printed = sweep("1", "0.15,0.1500001", tmp_path / "budgets")
+        assert models == ["model_p1_theta0.15.json", "model_p1_theta0.1500001.json"]
+        for theta in (0.15, 0.1500001):
+            doc = json.loads((tmp_path / "budgets" / f"model_p1_theta{theta!r}.json").read_text())
+            assert doc["theta"] == theta
+            assert f"p=1 budget={theta!r} " in printed
+        models, printed = sweep("1,1.0000001", "0.5", tmp_path / "orders")
+        assert models == ["model_p1.0000001_theta0.5.json", "model_p1.0_theta0.5.json"]
+        for p in (1.0, 1.0000001):
+            assert json.loads((tmp_path / "orders" / f"model_p{p!r}_theta0.5.json").read_text())["p"] == p
+            assert f"p={p!r} budget=0.5 " in printed
+
 
 class TestGenerators:
     def test_example1_shape_and_values(self):

@@ -124,6 +124,52 @@ def per_cell_parse_matrix(text):
     return mat
 
 
+def per_cell_parse_dataset(text):
+    """Reference dataset parser: every cell through _parse_cell, as one (x | f) array."""
+    lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    while lines and lines[0][1].lstrip().startswith("#"):
+        lines = lines[1:]
+    if not lines:
+        raise ParseError("empty document")
+    try:
+        [_parse_cell(c, lines[0][0], j + 1) for j, c in enumerate(lines[0][1].split(","))]
+    except ParseError:
+        lines = lines[1:]
+        if not lines:
+            raise ParseError("dataset has a header but no rows") from None
+    rows = []
+    width = None
+    for lineno, line in lines:
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+            if width < 2:
+                raise ParseError("dataset needs at least one feature column and a target", lineno)
+        elif len(cells) != width:
+            raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
+        vals = [_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)]
+        for j, v in enumerate(vals):
+            if math.isinf(v):
+                raise ParseError("dataset values must be finite", lineno, j + 1)
+        rows.append(vals)
+    return np.array(rows, dtype=np.float64)
+
+
+def assert_dataset_parse_agrees(text):
+    """parse_dataset gives the per-cell reference's values, or its error at its position."""
+    try:
+        ref = per_cell_parse_dataset(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_dataset(text)
+        assert (str(got.value), got.value.row, got.value.col) == (str(exc), exc.row, exc.col)
+    else:
+        data = parse_dataset(text)
+        got = np.column_stack([data.x, data.f])
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def inf_token(sign):
     word = st.sampled_from(["-inf"] if sign < 0 else ["inf", "+inf"])
     return word.flatmap(
@@ -161,6 +207,7 @@ class TestRowFastPath:
         ref = per_cell_parse_matrix(text)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+        assert_dataset_parse_agrees(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -189,6 +236,7 @@ class TestRowFastPath:
             ref.value.row,
             ref.value.col,
         )
+        assert_dataset_parse_agrees(text)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -208,6 +256,7 @@ class TestRowFastPath:
             assert (str(got.value), got.value.row, got.value.col) == (str(exc), exc.row, exc.col)
         else:
             assert parse_matrix(text).tobytes() == ref.tobytes()
+        assert_dataset_parse_agrees(text)
 
 
 class TestDataset:

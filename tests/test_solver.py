@@ -16,9 +16,6 @@ from tropfit.solver import (
     _certificate_from,
     _finalize,
     brute_force_oracle,
-    error_inf,
-    error_p,
-    error_vector,
     greedy_sparse_solve,
     pnorm,
     smmae_lift,
@@ -71,43 +68,44 @@ class TestPnorm:
 
 class TestErrorFunctions:
     def test_singletons(self):
-        assert np.array_equal(error_vector(A_REF, B_REF, [2]), [1.0, 1.0, 0.0])
-        assert np.array_equal(error_vector(A_REF, B_REF, [0]), [6.0, 0.0, 3.0])
-        assert np.array_equal(error_vector(A_REF, B_REF, [1]), [0.0, 2.0, 1.0])
+        state = GreedyState(A_REF, B_REF)
+        assert np.array_equal(state.error_vector_of([2]), [1.0, 1.0, 0.0])
+        assert np.array_equal(state.error_vector_of([0]), [6.0, 0.0, 3.0])
+        assert np.array_equal(state.error_vector_of([1]), [0.0, 2.0, 1.0])
 
     def test_full_support_is_zero_here(self):
-        assert np.array_equal(error_vector(A_REF, B_REF, [0, 1, 2]), [0.0, 0.0, 0.0])
+        assert np.array_equal(GreedyState(A_REF, B_REF).error_vector_of([0, 1, 2]), [0.0, 0.0, 0.0])
 
     def test_empty_is_singleton_max(self):
-        assert np.array_equal(error_vector(A_REF, B_REF, []), [6.0, 2.0, 3.0])
+        assert np.array_equal(GreedyState(A_REF, B_REF).error_vector_of([]), [6.0, 2.0, 3.0])
 
     def test_always_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             A, b = random_instance(rng, 6)
             T = [int(j) for j in rng.permutation(A.shape[1])[: rng.integers(0, A.shape[1] + 1)]]
-            assert (error_vector(A, b, T) >= 0).all()
+            assert (GreedyState(A, b).error_vector_of(T) >= 0).all()
 
     def test_error_p_values(self):
-        assert error_p(A_REF, B_REF, [2], 1) == 2.0
-        assert error_p(A_REF, B_REF, [0, 1, 2], 5) == 0.0
-        with pytest.raises(ValueError):
-            error_p(A_REF, B_REF, [2], math.inf)
+        state = GreedyState(A_REF, B_REF)
+        assert state.error_norm_of([2], 1) == 2.0
+        assert state.error_norm_of([0, 1, 2], 5) == 0.0
 
     def test_error_inf_values(self):
-        assert error_inf(A_REF, B_REF, [2]) == 0.5
-        assert error_inf(A_REF, B_REF, [0, 2]) == 0.5
-        assert error_inf(A_REF, B_REF, [1, 2]) == 0.5
-        assert error_inf(A_REF, B_REF, [0, 1, 2]) == 0.0
+        state = GreedyState(A_REF, B_REF)
+        assert state.error_norm_of([2], math.inf) == 0.5
+        assert state.error_norm_of([0, 2], math.inf) == 0.5
+        assert state.error_norm_of([1, 2], math.inf) == 0.5
+        assert state.error_norm_of([0, 1, 2], math.inf) == 0.0
 
     def test_state_cur_stays_below_b(self):
         rng = np.random.default_rng(11)
         A, b = random_instance(rng, 8)
         state = GreedyState(A, b)
         tol = 1e-9
-        for j in rng.permutation(A.shape[1]):
-            state.select(int(j))
-            x = project_on_support(state.xhat, state.selected)
+        order = [int(j) for j in rng.permutation(A.shape[1])]
+        for k in range(1, len(order) + 1):
+            x = project_on_support(state.xhat, order[:k])
             assert (maxplus_product(A, x) <= b + tol).all()
 
     def test_state_keeps_one_m_by_n_array(self):
@@ -173,7 +171,7 @@ class TestGreedy:
             A, b = random_instance(rng)
             state = GreedyState(A, b)
             full = state.full_support_norm(2)
-            empty = state.current_norm(2)
+            empty = state.error_norm_of([], 2)
             theta = full + rng.uniform(0, 1.2) * max(empty - full, 1e-9)
             sol = greedy_sparse_solve(FitProblem(A, b, p=2, theta=theta))
             assert sol.error_p <= theta
@@ -234,7 +232,7 @@ class TestRatioCertificate:
             A, b = random_instance(rng)
             p = float(rng.choice([1.0, 2.0]))
             state = GreedyState(A, b)
-            full, empty = state.full_support_norm(p), state.current_norm(p)
+            full, empty = state.full_support_norm(p), state.error_norm_of([], p)
             theta = full + rng.uniform(0, 1) * (empty - full)
             sol = greedy_sparse_solve(FitProblem(A, b, p=p, theta=theta))
             assert sol.trace.initial_error == state.error_norm_of([], p)
@@ -473,15 +471,23 @@ def reference_greedy_solve(problem):
     full = state.full_support_norm(p)
     if full > budget:
         raise Infeasible("full support misses the budget", full_support_error=full)
-    current = state.current_norm(p)
-    initial = current
+
+    def norm(v):
+        return 0.5 * float(v.max()) if math.isinf(p) else pnorm(v, p)
+
+    cur_error = state.e0.max(axis=1)
+    in_support = np.zeros(state.n, dtype=bool)
+    selected = []
+    current = initial = norm(cur_error)
     steps = []
-    while current > budget and len(state.selected) < state.n:
-        j = state.select_best(p)
-        state.select(j)
-        current = state.current_norm(p)
+    while current > budget and len(selected) < state.n:
+        j = state.select_best(cur_error, in_support, p)
+        cur_error = np.minimum(cur_error, state.e0[:, j])
+        in_support[j] = True
+        selected.append(j)
+        current = norm(cur_error)
         steps.append((j, current))
-    support = tuple(state.selected)
+    support = tuple(selected)
     bound = None
     if not math.isinf(p) and support:
         prev = initial if len(support) == 1 else steps[-2][1]
@@ -535,7 +541,7 @@ class TestGreedyPath:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
             state = GreedyState(A, b)
-            full, top = state.full_support_norm(p), state.current_norm(p)
+            full, top = state.full_support_norm(p), state.error_norm_of([], p)
             # the errors of the run down to the tightest feasible budget, so
             # some budgets sit exactly on a step of the path
             budgets = [top]
@@ -545,7 +551,7 @@ class TestGreedyPath:
             scale = top if 0.0 < top < math.inf else 10.0
             budgets = [e for e in budgets if math.isfinite(e)] + [0.0, 1e9]
             budgets += [f * scale for f in data.draw(st.lists(st.floats(0, 1.5), max_size=6))]
-            path = GreedyPath(A, b, p)
+            path = GreedyPath(state, p)
             for theta in data.draw(st.permutations(budgets)):
                 sgle = None
                 for estimator in ("sgle", "smmae"):
@@ -564,7 +570,39 @@ class TestGreedyPath:
                     elif got.support and math.isfinite(sgle.error_inf):
                         assert got.error_inf == 0.5 * sgle.error_inf  # the exact SMMAE halving
 
+    @settings(max_examples=100, deadline=None)
+    @given(path_instances(), st.data())
+    def test_one_state_serves_interleaved_runs(self, instance, data):
+        A, b, _ = instance
+        norm_orders = (1.0, 2.0, 5.0, 150.0, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
+            state = GreedyState(A, b)
+            e0, xhat = state.e0.tobytes(), state.xhat.tobytes()
+            paths = {p: GreedyPath(state, p) for p in norm_orders}
+            asks = []
+            for p in norm_orders:
+                full, top = state.full_support_norm(p), state.error_norm_of([], p)
+                scale = top if 0.0 < top < math.inf else 10.0
+                fractions = data.draw(st.lists(st.floats(0, 1.5), min_size=1, max_size=4))
+                asks += [(p, f * scale) for f in fractions] + [(p, full)] * math.isfinite(full)
+            for p, theta in data.draw(st.permutations(asks)):
+                problem = FitProblem(A, b, p=p, theta=theta)
+                got = outcome(paths[p].solve, problem)
+                want = outcome(reference_greedy_solve, problem)
+                if isinstance(want, Infeasible):
+                    assert isinstance(got, Infeasible)
+                    assert bits(got.full_support_error) == bits(want.full_support_error)
+                else:
+                    assert solution_bits(got) == solution_bits(want)
+        assert (state.e0.tobytes(), state.xhat.tobytes()) == (e0, xhat)
+        for shared in (state.e0, state.xhat):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[...] = 0.0
+        for path in paths.values():
+            assert not [k for k, v in vars(path).items() if isinstance(v, np.ndarray) and v.ndim == 2]
+
     def test_rejects_another_norm_order(self):
-        path = GreedyPath(A_REF, B_REF, 1.0)
+        path = GreedyPath(GreedyState(A_REF, B_REF), 1.0)
         with pytest.raises(ValueError, match="norm order"):
             path.solve(FitProblem(None, None, p=2.0, theta=1.0))
