@@ -375,6 +375,8 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
     medians.  Every feasible heuristic row is hard-checked against the
     guaranteed bound.
     """
+    if trials < 0 or threads < 1:
+        raise ValueError(f"need trials >= 0 and threads >= 1, got trials={trials}, threads={threads}")
     children = np.random.SeedSequence(seed).spawn(trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the l-infinity greedy warns by design

@@ -314,6 +314,8 @@ def parse_model(text: str) -> PwlModel:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if type(doc["dim"]) is not int or doc["dim"] != model.dim:  # bools and 2.0 are not dims
+        raise ParseError(f"declared dim {doc['dim']!r} != slope width {model.dim}")
     if declared_support != model.support_size:
         raise ParseError(
             f"declared support {declared_support} != {model.support_size} finite intercepts"

@@ -37,7 +37,6 @@ from .tropical import (
     ShapeError,
     as_matrix,
     as_vector,
-    maxplus_add,
     principal_solution,
     project_on_support,
 )
@@ -211,27 +210,25 @@ class GreedyState:
     """The read-only instance the greedy works on: xhat and the singleton errors.
 
     Precomputes the principal solution xhat and the per-singleton error
-    vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps; from
-    those every candidate error e(T ∪ {s}) = min(e(T), e({s})) costs O(m).
-    Nothing in it changes after the build, so one state serves every budget,
-    norm order, run and estimator on (A, b); a run's progress lives in its
-    GreedyPath.
+    vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps; the
+    build never holds a second m×n array besides A.  Plain addition makes
+    no NaN: b is finite, and the principal solution refuses +inf in A and
+    clamps it out of xhat.  Every candidate error e(T ∪ {s}) =
+    min(e(T), e({s})) costs O(m).  Nothing in it changes after the build,
+    so one state serves every budget, norm order, run and estimator on
+    (A, b); a run's progress lives in its GreedyPath.
     """
 
     def __init__(self, A, b):
-        A = as_matrix(A)
-        b = as_vector(b)
-        if A.shape[0] != b.shape[0]:
-            raise ShapeError(f"matrix has {A.shape[0]} rows, vector has length {b.shape[0]}")
+        A = np.asarray(A, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        self.xhat = principal_solution(A, b)  # validates A and b
         self.m, self.n = A.shape
-        self.xhat = principal_solution(A, b)
         self.clamped_columns = tuple(int(j) for j in np.nonzero(np.isneginf(A).all(axis=0))[0])
-        # b minus the contributions A_j + xhat_j, in the buffer that holds
-        # them; rounding can push a contribution a hair above b, and the
-        # error vector is non-negative by construction, so clamp
-        e0 = maxplus_add(A, self.xhat[np.newaxis, :])
-        with np.errstate(invalid="ignore"):
-            np.subtract(b[:, np.newaxis], e0, out=e0)
+        # b - (A_j + xhat_j) in one buffer; rounding can push a contribution a
+        # hair above b, and the error vector is non-negative, so clamp
+        e0 = A + self.xhat
+        np.subtract(b[:, np.newaxis], e0, out=e0)
         self.e0 = np.maximum(e0, 0.0, out=e0)
         self.delta = float(self.e0.max())  # the certificate's largest singleton error
         self.xhat.flags.writeable = False

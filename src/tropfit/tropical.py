@@ -101,11 +101,9 @@ def minplus_product(A, x) -> np.ndarray:
 def principal_solution(A, b) -> np.ndarray:
     """Greatest xhat with A (max-plus) xhat <= b, via residuation.
 
-    Computes (-A)^T (min-plus) b.  ``b`` must be finite.  A column of A
-    that is entirely -inf contributes nothing to the product; residuation
-    would put +inf there, which we clamp to -inf (the conservative choice,
-    keeping xhat inside R ∪ {-inf}).  Callers can recover the clamped
-    coordinates as the all-(-inf) columns of A.
+    xhat_j = min_i (b_i - A_ij), i.e. (-A)^T (min-plus) b, for finite ``b`` and
+    A in R ∪ {-inf}.  An all-(-inf) column gets +inf, clamped to -inf to keep
+    xhat in R ∪ {-inf}; callers recover these as the all-(-inf) columns of A.
     """
     A = as_matrix(A)
     b = as_vector(b)
@@ -115,7 +113,7 @@ def principal_solution(A, b) -> np.ndarray:
         raise ValueError("right-hand side must be finite for the principal solution")
     if np.isposinf(A).any():
         raise ValueError("matrix entries must lie in R ∪ {-inf}")
-    xhat = minplus_product((-A).T, b)
+    xhat = (b[:, np.newaxis] - A).min(axis=0)
     xhat[np.isposinf(xhat)] = -np.inf
     return xhat
 

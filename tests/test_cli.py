@@ -300,6 +300,16 @@ class TestBench:
         assert summary["trials"] == 3
         assert summary["config"]["seed"] == 1
 
+    @pytest.mark.parametrize("name, value", [("trials", -2), ("threads", 0), ("threads", -3)])
+    def test_bad_counts_are_rejected(self, tmp_path, capsys, name, value):
+        rc = main(["bench", "--size", "5", f"--{name}", str(value), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        kwargs = {"trials": 2, "threads": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            run_bench(m=5, n=5, delta=2.5, p=150.0, seed=0, **kwargs)
+
 
 class TestRepro:
     def test_full_harness_passes(self, tmp_path):

@@ -330,6 +330,14 @@ class TestModelJson:
         with pytest.raises(ParseError, match="support"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [7, 3, "banana", True, 2.0, None])
+    def test_dim_checked(self, value):
+        # sample_model has 2-column slopes
+        doc = json.loads(write_model(sample_model()))
+        doc["dim"] = value
+        with pytest.raises(ParseError, match="dim"):
+            parse_model(json.dumps(doc))
+
     @staticmethod
     def with_value(path, value):
         doc = json.loads(write_model(sample_model()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,13 @@ from tropfit.solver import (
     submodularity_probe,
     submodularity_ratio,
 )
-from tropfit.tropical import maxplus_product, project_on_support
+from tropfit.tropical import (
+    maxplus_add,
+    maxplus_product,
+    minplus_product,
+    principal_solution,
+    project_on_support,
+)
 
 NEG = -np.inf
 A_REF = np.array([[0.0, 5.0, 2.0], [4.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -606,3 +613,60 @@ class TestGreedyPath:
         path = GreedyPath(GreedyState(A_REF, B_REF), 1.0)
         with pytest.raises(ValueError, match="norm order"):
             path.solve(FitProblem(None, None, p=2.0, theta=1.0))
+
+
+# values where a shortcut through plain IEEE arithmetic could part from the
+# semiring helpers: signed zeros, overflow, subnormals, the max-plus bottom
+EDGE_VALUES = [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]
+
+
+@st.composite
+def edge_instances(draw, max_side=12):
+    m, n = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    A = draw(arrays(np.float64, (m, n), elements=st.one_of(finite, finite, st.just(-np.inf))))
+    A[:, draw(arrays(np.bool_, n))] = -np.inf  # whole bottom columns
+    b = draw(arrays(np.float64, m, elements=finite))
+    return A, b
+
+
+def assert_build_equals_semiring_reference(A, b):
+    with np.errstate(over="ignore"):
+        xhat = minplus_product((-A).T, b)
+        xhat[np.isposinf(xhat)] = -np.inf
+        e0 = np.maximum(b[:, np.newaxis] - maxplus_add(A, xhat[np.newaxis, :]), 0)
+        got = principal_solution(A, b)
+        state = GreedyState(A, b)
+    assert got.tobytes() == xhat.tobytes()
+    assert state.xhat.tobytes() == xhat.tobytes()
+    assert state.e0.tobytes() == e0.tobytes()
+    assert state.clamped_columns == tuple(np.flatnonzero(np.isneginf(A).all(axis=0)))
+
+
+class TestInstanceBuild:
+    """The build's plain arithmetic against the semiring helpers it replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_instances())
+    def test_equals_semiring_reference(self, instance):
+        assert_build_equals_semiring_reference(*instance)
+
+    def test_equals_semiring_reference_on_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        A = rng.choice([0.0, -0.0, -np.inf], size=(300, 400))
+        A[:, 7] = -np.inf
+        assert_build_equals_semiring_reference(A, rng.choice([0.0, -0.0], size=300))
+
+    def test_build_peak_is_one_matrix(self):
+        rng = np.random.default_rng(0)
+        m, n = 400, 500
+        A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        tracemalloc.start()
+        try:
+            GreedyState(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # e0 is the one m×n array the state keeps; numpy's reduction buffers
+        # are fixed-size, so the slack is O(m + n)
+        assert peak <= A.nbytes + 64 * (m + n) + 2**17
