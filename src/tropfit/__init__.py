@@ -44,7 +44,7 @@ from .regression import (
     grid_slopes,
     score,
 )
-from .io_formats import ParseError, ParsedDocument
+from .io_formats import ParseError
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,5 @@ __all__ = [
     "grid_slopes",
     "score",
     "ParseError",
-    "ParsedDocument",
     "__version__",
 ]

@@ -1,8 +1,11 @@
 """Command-line front door: solve, fit, sweep, bench, repro, gen-example.
 
-Outputs land in --out (default: current directory).  Every table and
-report embeds the invoked configuration and seed, so runs replay
-bit-identically.  Exit codes: 0 ok, 2 infeasible, 1 error.
+Outputs land in --out (default: current directory), which is created
+when the first file is written, so a command that fails before writing
+leaves no directory behind.  Every table and report embeds the invoked
+configuration and seed, so runs replay bit-identically; infinities in
+that config echo are written as "inf" / "-inf" tokens, as in every other
+output.  Exit codes: 0 ok, 2 infeasible, 1 error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,56 +98,45 @@ def example3_dataset() -> Dataset:
 # shared plumbing
 
 
-@dataclass
-class RunConfig:
-    """Replay record embedded in every output file."""
+def _config(args: argparse.Namespace, **options) -> dict:
+    """Replay record embedded in every output file, with every float, also
+    inside a list, through the output number encoder."""
 
-    command: str
-    seed: int
-    out: str
-    threads: int
-    options: dict = field(default_factory=dict)
+    def encode(val):
+        if isinstance(val, list):
+            return [encode(v) for v in val]
+        return io_formats._num_out(val) if isinstance(val, float) else val
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "out": self.out,
-            "threads": self.threads,
-            **self.options,
-        }
+    return {
+        "command": args.command,
+        "seed": args.seed,
+        "out": str(args.out),
+        "threads": args.threads,
+        **{key: encode(val) for key, val in options.items()},
+    }
 
 
-def _config_from(args: argparse.Namespace, **options) -> RunConfig:
-    clean = {}
-    for key, val in options.items():
-        if isinstance(val, Path):
-            val = str(val)
-        if isinstance(val, float) and math.isinf(val):
-            val = "inf"
-        clean[key] = val
-    return RunConfig(
-        command=args.command,
-        seed=args.seed,
-        out=str(args.out),
-        threads=args.threads,
-        options=clean,
-    )
+def _echo(config: dict) -> str:
+    """The config comment of tables and CSV outputs, without its '# '."""
+    return "config: " + json.dumps(config)
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_table(path: Path, header: list[str], rows: list[list], config: RunConfig) -> None:
+def _write_table(path: Path, header: list[str], rows: list[list], config: dict) -> None:
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config.as_dict()) + "\n")
+    buf.write(f"# {_echo(config)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    io_formats.save_text(path, buf.getvalue())
+
+
+def _write_fit(model_path: Path, plot_path: Path, data: Dataset, model: PwlModel, config: dict) -> None:
+    """A fitted model, and its per-point plot file when it has pieces."""
+    io_formats.save_text(model_path, io_formats.write_model(model))
+    if model.support_size:
+        io_formats.save_text(
+            plot_path, io_formats.write_plot_data(data, evaluate(model, data.x), comment=_echo(config))
+        )
 
 
 def _problem_from_args(args: argparse.Namespace) -> FitProblem:
@@ -188,11 +180,11 @@ def _slope_set(args: argparse.Namespace, data: Dataset) -> SlopeSet:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    out = _outdir(args)
+    out = Path(args.out)
     A = io_formats.load_matrix(args.matrix)
     b = io_formats.load_vector(args.vector)
     problem = _problem_from_args(args).with_data(A, b)
-    config = _config_from(
+    config = _config(
         args,
         matrix=args.matrix,
         vector=args.vector,
@@ -205,12 +197,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except Infeasible as exc:
         io_formats.save_text(
             out / "report.json",
-            io_formats.write_report(None, config.as_dict(), exc.full_support_error),
+            io_formats.write_report(None, config, exc.full_support_error),
         )
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     io_formats.save_text(out / "solution.csv", io_formats.write_vector(solution.x))
-    io_formats.save_text(out / "report.json", io_formats.write_report(solution, config.as_dict()))
+    io_formats.save_text(out / "report.json", io_formats.write_report(solution, config))
     print(
         f"support {list(solution.support)}  error_p {solution.error_p:.6g}  "
         f"error_inf {solution.error_inf:.6g}"
@@ -228,11 +220,11 @@ def _scored(model: PwlModel | Infeasible) -> tuple[PwlModel, Score]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    out = _outdir(args)
+    out = Path(args.out)
     data = io_formats.load_dataset(args.dataset)
     slopes = _slope_set(args, data)
     problem = _problem_from_args(args)
-    config = _config_from(
+    config = _config(
         args,
         dataset=args.dataset,
         p=problem.p,
@@ -246,14 +238,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    io_formats.save_text(out / "model.json", io_formats.write_model(model))
-    if model.support_size:
-        io_formats.save_text(
-            out / "fit_plot.csv",
-            io_formats.write_plot_data(
-                data, evaluate(model, data.x), comment="config: " + json.dumps(config.as_dict())
-            ),
-        )
+    _write_fit(out / "model.json", out / "fit_plot.csv", data, model, config)
     _write_table(
         out / "fit.csv",
         ["p", "theta", "rms", "max_abs", "support"],
@@ -272,7 +257,7 @@ def _labeler(values: list[float]):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out = _outdir(args)
+    out = Path(args.out)
     data = io_formats.load_dataset(args.dataset)
     slopes = _slope_set(args, data)
     ps = _parse_float_list(args.p_list)
@@ -280,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     budgets = _parse_float_list(args.theta_list if kind == "theta" else args.epsilon_list)
     if not ps or not budgets:
         raise ValueError("sweep needs at least one norm order and one budget")
-    config = _config_from(
+    config = _config(
         args,
         dataset=args.dataset,
         p_list=ps,
@@ -301,16 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _, s = _scored(model)
         rows.append([p, val, s.rms, s.max_abs, s.support, False])
         tag = f"p{p_label(p)}_{kind}{label(val)}"
-        io_formats.save_text(out / f"model_{tag}.json", io_formats.write_model(model))
-        if model.support_size:
-            io_formats.save_text(
-                out / f"plot_{tag}.csv",
-                io_formats.write_plot_data(
-                    data,
-                    evaluate(model, data.x),
-                    comment="config: " + json.dumps(config.as_dict()),
-                ),
-            )
+        _write_fit(out / f"model_{tag}.json", out / f"plot_{tag}.csv", data, model, config)
     _write_table(
         out / "sweep.csv",
         ["p", kind, "rms", "max_abs", "support", "infeasible"],
@@ -402,11 +378,9 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    out = _outdir(args)
+    out = Path(args.out)
     m = n = PAPER_SCALE if args.paper_scale else args.size
-    config = _config_from(
-        args, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p
-    )
+    config = _config(args, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
     t0 = time.perf_counter()
     report = run_bench(args.trials, m, n, args.delta, args.p, args.seed, args.threads)
     elapsed = time.perf_counter() - t0
@@ -426,9 +400,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "feasible_trials": report.feasible_trials,
         "trials": args.trials,
         "elapsed_seconds": elapsed,
-        "config": config.as_dict(),
+        "config": config,
     }
-    (out / "bench_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    io_formats.save_text(out / "bench_summary.json", json.dumps(summary, indent=2) + "\n")
     print(
         f"{m}x{n}, {report.feasible_trials}/{args.trials} feasible: "
         f"median support heuristic {report.median_heuristic} vs greedy {report.median_greedy} "
@@ -440,18 +414,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_example(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     if args.which == 1:
         data = example1_dataset()
     elif args.which == 2:
         data = example2_dataset(args.seed)
     else:
         data = example3_dataset()
-    config = _config_from(args, which=args.which)
-    path = out / f"example{args.which}.csv"
-    io_formats.save_text(
-        path, io_formats.write_dataset(data, comment="config: " + json.dumps(config.as_dict()))
-    )
+    path = Path(args.out) / f"example{args.which}.csv"
+    io_formats.save_text(path, io_formats.write_dataset(data, comment=_echo(_config(args, which=args.which))))
     print(path)
     return 0
 
@@ -565,7 +535,6 @@ REPRO_CHECKS = [
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     results = []
     failed = 0
     for name, check in REPRO_CHECKS:
@@ -578,9 +547,9 @@ def cmd_repro(args: argparse.Namespace) -> int:
         failed += not ok
         results.append({"check": name, "pass": bool(ok), "detail": detail, "seconds": elapsed})
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({elapsed:.2f}s)  {detail}")
-    config = _config_from(args)
-    (out / "repro.json").write_text(
-        json.dumps({"results": results, "config": config.as_dict()}, indent=2) + "\n"
+    io_formats.save_text(
+        Path(args.out) / "repro.json",
+        json.dumps({"results": results, "config": _config(args)}, indent=2) + "\n",
     )
     return 1 if failed else 0
 

@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -30,13 +29,11 @@ from .solver import SparseSolution
 
 __all__ = [
     "ParseError",
-    "ParsedDocument",
     "parse_matrix",
     "parse_vector",
     "parse_dataset",
     "parse_model",
     "parse_report",
-    "parse_document",
     "write_matrix",
     "write_vector",
     "write_dataset",
@@ -63,23 +60,22 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
-    kind: str
-    payload: Any
-
-
-_NEG_TOKENS = {"-inf"}
-_POS_TOKENS = {"inf", "+inf"}
+def _inf_token(text: str) -> float | None:
+    """The infinity an inf token spells (any casing, surrounding blanks,
+    an optional '+'), or None for any other text."""
+    low = text.strip().lower()
+    if low == "-inf":
+        return -math.inf
+    if low in ("inf", "+inf"):
+        return math.inf
+    return None
 
 
 def _parse_cell(token: str, row: int, col: int) -> float:
     t = token.strip()
-    low = t.lower()
-    if low in _NEG_TOKENS:
-        return -math.inf
-    if low in _POS_TOKENS:
-        return math.inf
+    inf = _inf_token(t)
+    if inf is not None:
+        return inf
     try:
         v = float(t)
     except ValueError:
@@ -197,34 +193,8 @@ def parse_dataset(text: str) -> Dataset:
     return Dataset(arr[:, :-1], arr[:, -1])
 
 
-def _fmt(v: float) -> str:
-    v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
-
-
-def write_matrix(mat, header: bool = False) -> str:
-    mat = np.asarray(mat, dtype=np.float64)
-    out = []
-    if header:
-        out.append(f"# {mat.shape[0]} {mat.shape[1]}")
-    out.extend(",".join(_fmt(v) for v in row) for row in mat)
-    return "\n".join(out) + "\n"
-
-
-def write_vector(vec) -> str:
-    vec = np.asarray(vec, dtype=np.float64)
-    return "\n".join(_fmt(v) for v in vec) + "\n"
-
-
-def write_dataset(data: Dataset, comment: str | None = None) -> str:
-    rows = np.column_stack([data.x, data.f])
-    head = f"# {comment}\n" if comment else ""
-    return head + "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
-
-
 def _num_out(v) -> Any:
+    """A number as written: the float itself, or its inf token; None stays None."""
     if v is None:
         return None
     v = float(v)
@@ -233,16 +203,34 @@ def _num_out(v) -> Any:
     return v
 
 
+def _write_rows(rows: np.ndarray, head: str | None = None) -> str:
+    """CSV text of a 2-D array: the ``head`` line, if any, then one line of
+    comma-separated number cells per row."""
+    lines = (",".join([str(_num_out(v)) for v in row]) for row in rows.tolist())
+    return "\n".join(itertools.chain([head] if head else [], lines)) + "\n"
+
+
+def write_matrix(mat, header: bool = False) -> str:
+    mat = np.asarray(mat, dtype=np.float64)
+    return _write_rows(mat, f"# {mat.shape[0]} {mat.shape[1]}" if header else None)
+
+
+def write_vector(vec) -> str:
+    return _write_rows(np.asarray(vec, dtype=np.float64)[:, np.newaxis])
+
+
+def write_dataset(data: Dataset, comment: str | None = None) -> str:
+    return _write_rows(np.column_stack([data.x, data.f]), f"# {comment}" if comment else None)
+
+
 def _num_in(v, key: str, allow_none: bool = False) -> float | None:
     if v is None and allow_none:
         return None
     if isinstance(v, str):
-        low = v.strip().lower()
-        if low in _NEG_TOKENS:
-            return -math.inf
-        if low in _POS_TOKENS:
-            return math.inf
-        raise ParseError(f"key {key!r}: bad numeric token {v!r}")
+        inf = _inf_token(v)
+        if inf is None:
+            raise ParseError(f"key {key!r}: bad numeric token {v!r}")
+        return inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"key {key!r}: expected a number, got {type(v).__name__}")
     try:
@@ -376,25 +364,8 @@ def parse_report(text: str) -> dict:
 
 def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str:
     """Per-point CSV (x columns, target, model value) for external plotting."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    rows = np.column_stack([data.x, data.f, predicted])
-    head = f"# {comment}\n" if comment else ""
-    return head + "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
-
-
-_PARSERS = {
-    "matrix": parse_matrix,
-    "vector": parse_vector,
-    "dataset": parse_dataset,
-    "model": parse_model,
-    "report": parse_report,
-}
-
-
-def parse_document(text: str, kind: str) -> ParsedDocument:
-    if kind not in _PARSERS:
-        raise ValueError(f"unknown document kind {kind!r}")
-    return ParsedDocument(kind, _PARSERS[kind](text))
+    rows = np.column_stack([data.x, data.f, np.asarray(predicted, dtype=np.float64)])
+    return _write_rows(rows, f"# {comment}" if comment else None)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -414,4 +385,8 @@ def load_model(path) -> PwlModel:
 
 
 def save_text(path, text: str) -> None:
-    Path(path).write_text(text)
+    """Write ``text`` to ``path``, creating its parent directory first, so
+    an output directory comes into being with the first file written to it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)

@@ -135,7 +135,7 @@ class PwlModel:
         if s.ndim == 1:
             s = s[:, np.newaxis]
         c = np.asarray(self.intercepts, dtype=np.float64)
-        if s.ndim != 2 or c.ndim != 1 or s.shape[0] != c.shape[0]:
+        if s.ndim != 2 or c.ndim != 1 or s.shape[0] != c.shape[0] or s.shape[0] < 1:
             raise ShapeError(f"inconsistent model shapes {s.shape} / {c.shape}")
         object.__setattr__(self, "slopes", s)
         object.__setattr__(self, "intercepts", c)

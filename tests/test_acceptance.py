@@ -13,7 +13,11 @@ import numpy as np
 from tropfit.cli import EXAMPLE1_P1, example1_dataset, example2_dataset, example3_dataset, run_bench
 from tropfit.io_formats import (
     ParseError,
-    parse_document,
+    parse_dataset,
+    parse_matrix,
+    parse_model,
+    parse_report,
+    parse_vector,
     write_dataset,
     write_matrix,
     write_model,
@@ -277,8 +281,15 @@ def test_criterion_9_round_trip_and_fuzz():
         "model": write_model(model),
         "report": write_report(sol, config={"command": "solve", "seed": 0}),
     }
+    parsers = {
+        "matrix": parse_matrix,
+        "vector": parse_vector,
+        "dataset": parse_dataset,
+        "model": parse_model,
+        "report": parse_report,
+    }
     for kind, text in seeds.items():  # valid documents parse and round-trip
-        parse_document(text, kind)
+        parsers[kind](text)
 
     rng = np.random.default_rng(909)
     alphabet = b"0123456789.,-+einf{}[]\"\n #:x"
@@ -299,7 +310,7 @@ def test_criterion_9_round_trip_and_fuzz():
             elif raw:
                 del raw[pos % len(raw)]
         try:
-            parse_document(raw.decode(errors="replace"), kind)
+            parsers[kind](raw.decode(errors="replace"))
         except ParseError:
             pass
         except Exception:

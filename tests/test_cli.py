@@ -237,6 +237,26 @@ class TestFitAndSweep:
             assert f"p={p!r} budget=0.5 " in printed
 
 
+    def test_sweep_config_echo_with_infinite_lists_is_json(self, tmp_path):
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        out = tmp_path / "sweep"
+        argv = [
+            "sweep", str(tmp_path / "example1.csv"),
+            "--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5",
+            "--p", "inf,1", "--theta", "inf,0.5", "--out", str(out),
+        ]
+        assert main(argv) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        first = (out / "sweep.csv").read_text().splitlines()[0]
+        config = json.loads(first.removeprefix("# config: "), parse_constant=refuse)
+        assert config["p_list"] == ["inf", 1.0]
+        assert config["budgets"] == ["inf", 0.5]
+        assert (out / "plot_p1_theta0.5.csv").read_text().splitlines()[0] == first
+
+
 class TestGenerators:
     def test_example1_shape_and_values(self):
         d = example1_dataset()
@@ -309,6 +329,16 @@ class TestBench:
         kwargs = {"trials": 2, "threads": 1, name: value}
         with pytest.raises(ValueError, match=name):
             run_bench(m=5, n=5, delta=2.5, p=150.0, seed=0, **kwargs)
+
+
+def test_command_failing_before_its_first_write_leaves_no_out_directory(worked_files, tmp_path, capsys):
+    _, b = worked_files
+    bench_out, solve_out = tmp_path / "X" / "bench", tmp_path / "Y" / "solve"
+    assert main(["bench", "--trials", "-2", "--size", "5", "--out", str(bench_out)]) == 1
+    argv = ["solve", str(tmp_path / "missing.csv"), str(b), "--p", "1", "--theta", "1", "--out", str(solve_out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.count("error:") == 2
+    assert not (tmp_path / "X").exists() and not (tmp_path / "Y").exists()
 
 
 class TestRepro:

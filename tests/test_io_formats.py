@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tropfit.io_formats import (
     ParseError,
+    _num_in,
     _parse_cell,
     _split_rows,
     parse_dataset,
-    parse_document,
     parse_matrix,
     parse_model,
     parse_report,
@@ -290,6 +291,123 @@ class TestDataset:
         assert np.array_equal(d.f, again.f)
 
 
+# Reference serializers: each writer's own formula, which the shared row
+# writer must reproduce byte for byte.
+def reference_cell(v):
+    v = float(v)
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return repr(v)
+
+
+def reference_write_matrix(mat, header=False):
+    mat = np.asarray(mat, dtype=np.float64)
+    out = []
+    if header:
+        out.append(f"# {mat.shape[0]} {mat.shape[1]}")
+    out.extend(",".join(reference_cell(v) for v in row) for row in mat)
+    return "\n".join(out) + "\n"
+
+
+def reference_write_vector(vec):
+    vec = np.asarray(vec, dtype=np.float64)
+    return "\n".join(reference_cell(v) for v in vec) + "\n"
+
+
+def reference_write_dataset(data, comment=None):
+    rows = np.column_stack([data.x, data.f])
+    head = f"# {comment}\n" if comment else ""
+    return head + "\n".join(",".join(reference_cell(v) for v in row) for row in rows) + "\n"
+
+
+def reference_write_plot_data(data, predicted, comment=None):
+    predicted = np.asarray(predicted, dtype=np.float64)
+    rows = np.column_stack([data.x, data.f, predicted])
+    head = f"# {comment}\n" if comment else ""
+    return head + "\n".join(",".join(reference_cell(v) for v in row) for row in rows) + "\n"
+
+
+EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225e-309, 1e308, -1e308, 1.7976931348623157e308, 0.1]
+finite_cells = st.one_of(st.sampled_from(EDGE_FINITE), st.floats(allow_nan=False, allow_infinity=False))
+extended_cells = st.one_of(finite_cells, st.sampled_from([math.inf, -math.inf]))
+comments = st.one_of(st.none(), st.just(""), st.just('config: {"p_list": ["inf", 1.0]}'), st.text(max_size=12))
+
+
+def finite_matrix(rows, cols):
+    return hnp.arrays(np.float64, (rows, cols), elements=finite_cells)
+
+
+@st.composite
+def datasets(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    return Dataset(draw(finite_matrix(m, n)), draw(finite_matrix(m, 1))[:, 0])
+
+
+class TestOneRowWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4), elements=extended_cells
+        ),
+        st.booleans(),
+    )
+    def test_matrix_bytes(self, mat, header):
+        assert write_matrix(mat, header=header) == reference_write_matrix(mat, header=header)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 6), elements=extended_cells))
+    def test_vector_bytes(self, vec):
+        assert write_vector(vec) == reference_write_vector(vec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(), comments)
+    def test_dataset_bytes(self, data, comment):
+        assert write_dataset(data, comment) == reference_write_dataset(data, comment)
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(), comments, st.data())
+    def test_plot_data_bytes(self, data, comment, draw):
+        predicted = draw.draw(hnp.arrays(np.float64, len(data), elements=extended_cells))
+        assert write_plot_data(data, predicted, comment) == reference_write_plot_data(data, predicted, comment)
+
+
+def cased(word):
+    return st.tuples(*[st.sampled_from([c.lower(), c.upper()]) for c in word]).map("".join)
+
+
+blanks = st.sampled_from(["", " ", "  ", "\t", " \t"])
+inf_tokens = st.builds(
+    lambda left, word, right: left + word + right,
+    blanks,
+    st.one_of(cased("inf"), cased("-inf"), cased("+inf")),
+    blanks,
+)
+
+
+class TestOneInfDecoder:
+    @settings(max_examples=200, deadline=None)
+    @given(inf_tokens)
+    def test_cell_and_json_decoders_agree_on_inf_tokens(self, token):
+        want = -math.inf if token.strip().startswith("-") else math.inf
+        assert _parse_cell(token, 1, 1) == _num_in(token, "key") == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=" \t+-.0123456789eEiInNfFtyY", max_size=8))
+    def test_no_other_text_decodes_to_an_infinity(self, text):
+        try:
+            json_value = _num_in(text, "key")
+        except ParseError:
+            json_value = None
+        try:
+            cell_value = _parse_cell(text, 1, 1)
+        except ParseError:
+            cell_value = None
+        if json_value is not None:  # a JSON string is only ever an inf token
+            assert cell_value == json_value
+        if cell_value is not None and math.isinf(cell_value):
+            assert json_value == cell_value
+
+
 def sample_model(**kw):
     defaults = dict(
         slopes=np.array([[1.0, 2.0], [0.0, -1.0], [3.5, 0.25]]),
@@ -365,6 +483,14 @@ class TestModelJson:
         with pytest.raises(ParseError, match="slopes must be finite"):
             parse_model(self.with_value(("slopes", 2, 1), value))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_slopes_and_intercepts_are_parse_error(self, dim):
+        # a model has at least one piece, whatever width it declares
+        doc = json.loads(write_model(sample_model()))
+        doc.update(dim=dim, slopes=[], intercepts=[], support=0)
+        with pytest.raises(ParseError):
+            parse_model(json.dumps(doc))
+
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_model("{not json")
@@ -412,12 +538,16 @@ def test_plot_data_columns():
     assert [float(c) for c in rows[0]] == [1.0, 3.0, 2.5]
 
 
-class TestFuzz:
-    def test_parse_document_dispatch(self):
-        assert parse_document("1,2", "vector").kind == "vector"
-        with pytest.raises(ValueError):
-            parse_document("1", "mystery")
+PARSERS = {
+    "matrix": parse_matrix,
+    "vector": parse_vector,
+    "dataset": parse_dataset,
+    "model": parse_model,
+    "report": parse_report,
+}
 
+
+class TestFuzz:
     def test_mutations_never_crash(self):
         # a smaller sibling of the acceptance-scale fuzz run
         rng = np.random.default_rng(0)
@@ -442,6 +572,6 @@ class TestFuzz:
                 elif raw:
                     del raw[pos % len(raw)]
             try:
-                parse_document(raw.decode(errors="replace"), kind)
+                PARSERS[kind](raw.decode(errors="replace"))
             except ParseError:
                 pass

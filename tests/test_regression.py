@@ -189,6 +189,13 @@ class TestFitEvaluateScore:
         with pytest.raises(ValueError, match="no active region"):
             evaluate(m, [0.0])
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_model_without_pieces_is_refused(self, width):
+        # as SlopeSet refuses an empty slope array; write_model would write it
+        # as "slopes": [], which reads back as a 1-D model
+        with pytest.raises(ShapeError):
+            PwlModel(np.zeros((0, width)), np.zeros(0), p=1, theta=0.0, estimator="sgle")
+
     def test_constant_model_rms(self):
         d = line_data(0.0, 0.0, points=5)
         m = PwlModel(np.array([[0.0]]), np.array([2.0]), p=1, theta=0.0, estimator="sgle")
