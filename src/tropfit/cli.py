@@ -3,17 +3,13 @@
 Outputs land in --out (default: current directory), which is created
 when the first file is written, so a command that fails before writing
 leaves no directory behind.  Every table and report embeds the invoked
-configuration and seed, so runs replay bit-identically; infinities in
-that config echo are written as "inf" / "-inf" tokens, as in every other
-output.  Exit codes: 0 ok, 2 infeasible, 1 error.
+configuration and seed, so runs replay bit-identically; io_formats writes
+every file.  Exit codes: 0 ok, 2 infeasible, 1 error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 import time
@@ -99,44 +95,20 @@ def example3_dataset() -> Dataset:
 
 
 def _config(args: argparse.Namespace, **options) -> dict:
-    """Replay record embedded in every output file, with every float, also
-    inside a list, through the output number encoder."""
-
-    def encode(val):
-        if isinstance(val, list):
-            return [encode(v) for v in val]
-        return io_formats._num_out(val) if isinstance(val, float) else val
-
-    return {
-        "command": args.command,
-        "seed": args.seed,
-        "out": str(args.out),
-        "threads": args.threads,
-        **{key: encode(val) for key, val in options.items()},
-    }
-
-
-def _echo(config: dict) -> str:
-    """The config comment of tables and CSV outputs, without its '# '."""
-    return "config: " + json.dumps(config)
+    """Replay record embedded in every output file."""
+    return {"command": args.command, "seed": args.seed, "out": str(args.out), "threads": args.threads, **options}
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], config: dict) -> None:
-    buf = io.StringIO()
-    buf.write(f"# {_echo(config)}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    io_formats.save_text(path, buf.getvalue())
+    io_formats.save_text(path, io_formats.write_table(header, rows, io_formats.config_echo(config)))
 
 
 def _write_fit(model_path: Path, plot_path: Path, data: Dataset, model: PwlModel, config: dict) -> None:
     """A fitted model, and its per-point plot file when it has pieces."""
     io_formats.save_text(model_path, io_formats.write_model(model))
     if model.support_size:
-        io_formats.save_text(
-            plot_path, io_formats.write_plot_data(data, evaluate(model, data.x), comment=_echo(config))
-        )
+        echo = io_formats.config_echo(config)
+        io_formats.save_text(plot_path, io_formats.write_plot_data(data, evaluate(model, data.x), comment=echo))
 
 
 def _problem_from_args(args: argparse.Namespace) -> FitProblem:
@@ -281,7 +253,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for (p, val), model in zip(cells, fit_path(data, slopes, problems, args.seed)):
         if isinstance(model, Infeasible):
-            rows.append([p, val, "", "", "", True])
+            rows.append([p, val, None, None, None, True])
             continue
         _, s = _scored(model)
         rows.append([p, val, s.rms, s.max_abs, s.support, False])
@@ -402,7 +374,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "elapsed_seconds": elapsed,
         "config": config,
     }
-    io_formats.save_text(out / "bench_summary.json", json.dumps(summary, indent=2) + "\n")
+    io_formats.save_text(out / "bench_summary.json", io_formats.write_json(summary))
     print(
         f"{m}x{n}, {report.feasible_trials}/{args.trials} feasible: "
         f"median support heuristic {report.median_heuristic} vs greedy {report.median_greedy} "
@@ -421,7 +393,8 @@ def cmd_gen_example(args: argparse.Namespace) -> int:
     else:
         data = example3_dataset()
     path = Path(args.out) / f"example{args.which}.csv"
-    io_formats.save_text(path, io_formats.write_dataset(data, comment=_echo(_config(args, which=args.which))))
+    echo = io_formats.config_echo(_config(args, which=args.which))
+    io_formats.save_text(path, io_formats.write_dataset(data, comment=echo))
     print(path)
     return 0
 
@@ -547,10 +520,8 @@ def cmd_repro(args: argparse.Namespace) -> int:
         failed += not ok
         results.append({"check": name, "pass": bool(ok), "detail": detail, "seconds": elapsed})
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({elapsed:.2f}s)  {detail}")
-    io_formats.save_text(
-        Path(args.out) / "repro.json",
-        json.dumps({"results": results, "config": _config(args)}, indent=2) + "\n",
-    )
+    summary = io_formats.write_json({"results": results, "config": _config(args)})
+    io_formats.save_text(Path(args.out) / "repro.json", summary)
     return 1 if failed else 0
 
 

@@ -5,8 +5,10 @@ literal tokens ``-inf`` / ``inf`` (any casing on read, lowercase on
 write) for the extended values, optional first-line header ``# m n``.
 Finite cells are written with shortest round-trip precision, so
 serialize(parse(text)) is value-identical.  Dataset CSV holds n feature
-columns plus one target column.  Models and solve reports are JSON with
-infinities encoded as the same tokens.
+columns plus one target column; tables (fit, sweep, bench) a header row.
+Every line written ends in a bare newline.  Models, solve reports and run
+summaries are strict JSON with infinities as the same tokens, as is the
+one-line ``config: {...}`` echo that tables and CSV outputs start with.
 
 Malformed input raises ParseError with the offending position; no other
 exception type escapes a parser.
@@ -40,6 +42,9 @@ __all__ = [
     "write_model",
     "write_report",
     "write_plot_data",
+    "write_table",
+    "write_json",
+    "config_echo",
     "load_matrix",
     "load_vector",
     "load_dataset",
@@ -194,33 +199,74 @@ def parse_dataset(text: str) -> Dataset:
 
 
 def _num_out(v) -> Any:
-    """A number as written: the float itself, or its inf token; None stays None."""
-    if v is None:
-        return None
-    v = float(v)
+    """A value as written: a float as itself or its inf token, anything else unchanged."""
+    if not isinstance(v, float):
+        return v
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    return v
+    return float(v)
 
 
-def _write_rows(rows: np.ndarray, head: str | None = None) -> str:
-    """CSV text of a 2-D array: the ``head`` line, if any, then one line of
-    comma-separated number cells per row."""
-    lines = (",".join([str(_num_out(v)) for v in row]) for row in rows.tolist())
+def _write_rows(rows: Iterable[list], head: str | None = None) -> str:
+    """CSV text: the ``head`` line, if any, then one line of comma-separated
+    cells per row, None as an empty cell; every line ends in a bare newline."""
+    lines = (",".join(["" if v is None else str(_num_out(v)) for v in row]) for row in rows)
     return "\n".join(itertools.chain([head] if head else [], lines)) + "\n"
 
 
 def write_matrix(mat, header: bool = False) -> str:
     mat = np.asarray(mat, dtype=np.float64)
-    return _write_rows(mat, f"# {mat.shape[0]} {mat.shape[1]}" if header else None)
+    return _write_rows(mat.tolist(), f"# {mat.shape[0]} {mat.shape[1]}" if header else None)
 
 
 def write_vector(vec) -> str:
-    return _write_rows(np.asarray(vec, dtype=np.float64)[:, np.newaxis])
+    return _write_rows(np.asarray(vec, dtype=np.float64)[:, np.newaxis].tolist())
 
 
 def write_dataset(data: Dataset, comment: str | None = None) -> str:
-    return _write_rows(np.column_stack([data.x, data.f]), f"# {comment}" if comment else None)
+    return _write_rows(np.column_stack([data.x, data.f]).tolist(), f"# {comment}" if comment else None)
+
+
+def write_table(header: list[str], rows: Iterable[list], comment: str | None = None) -> str:
+    """Result table: the ``# comment`` line, if any, the header, then one line per row."""
+    return _write_rows(itertools.chain([header], rows), f"# {comment}" if comment else None)
+
+
+def _dumps(doc, indent: int | None = None) -> str:
+    """Strict JSON of ``doc``: every float, in any dict or list, through ``_num_out``; NaN raises."""
+
+    def out(val):
+        if isinstance(val, dict):
+            return {key: out(v) for key, v in val.items()}
+        if isinstance(val, (list, tuple)):
+            return [out(v) for v in val]
+        return _num_out(val)
+
+    return json.dumps(out(doc), indent=indent, allow_nan=False)
+
+
+def write_json(doc) -> str:
+    """A JSON document: a model, a report or a run summary."""
+    return _dumps(doc, indent=2) + "\n"
+
+
+def config_echo(config: dict) -> str:
+    """The one-line config comment of tables and CSV outputs, without its '# '."""
+    return "config: " + _dumps(config)
+
+
+def _json_object(text: str, what: str, keys: Iterable[str]) -> dict:
+    """The JSON object ``text`` holds, with every one of ``keys`` present."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{what} missing required key {key!r}")
+    return doc
 
 
 def _num_in(v, key: str, allow_none: bool = False) -> float | None:
@@ -245,44 +291,31 @@ def _num_in(v, key: str, allow_none: bool = False) -> float | None:
 def write_model(model: PwlModel) -> str:
     doc = {
         "dim": model.dim,
-        "slopes": [[float(v) for v in row] for row in model.slopes],
-        "intercepts": [_num_out(v) for v in model.intercepts],
-        "p": _num_out(model.p),
-        "theta": _num_out(model.theta),
+        "slopes": model.slopes.tolist(),
+        "intercepts": model.intercepts.tolist(),
+        "p": model.p,
+        "theta": model.theta,
         "estimator": model.estimator,
         "seed": model.seed,
-        "errors": {"rms": _num_out(model.rms), "max_abs": _num_out(model.max_abs)},
+        "errors": {"rms": model.rms, "max_abs": model.max_abs},
         "support": model.support_size,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return write_json(doc)
 
 
 _MODEL_KEYS = ("dim", "slopes", "intercepts", "p", "theta", "estimator", "seed", "errors", "support")
 
 
 def parse_model(text: str) -> PwlModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object")
-    for key in _MODEL_KEYS:
-        if key not in doc:
-            raise ParseError(f"model document missing required key {key!r}")
+    doc = _json_object(text, "model document", _MODEL_KEYS)
     try:
         slopes = np.array(doc["slopes"], dtype=np.float64)
         intercepts = np.array([_num_in(v, "intercepts") for v in doc["intercepts"]])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad slopes/intercepts: {exc}") from None
-    if not np.isfinite(slopes).all():
-        raise ParseError("slopes must be finite")
     errors = doc["errors"]
     if not isinstance(errors, dict) or "rms" not in errors or "max_abs" not in errors:
         raise ParseError("model 'errors' must hold rms and max_abs")
-    estimator = doc["estimator"]
-    if estimator not in ("sgle", "smmae"):
-        raise ParseError(f"unknown estimator {estimator!r}")
     seed = doc["seed"]
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ParseError("seed must be an integer or null")
@@ -295,7 +328,7 @@ def parse_model(text: str) -> PwlModel:
             intercepts=intercepts,
             p=_num_in(doc["p"], "p"),
             theta=_num_in(doc["theta"], "theta"),
-            estimator=estimator,
+            estimator=doc["estimator"],
             seed=seed,
             rms=_num_in(errors["rms"], "rms", allow_none=True),
             max_abs=_num_in(errors["max_abs"], "max_abs", allow_none=True),
@@ -329,33 +362,26 @@ def write_report(
             "ratio_bound": None,
             "iterations": 0,
             "infeasible": True,
-            "full_support_error": _num_out(full_support_error),
+            "full_support_error": full_support_error,
         }
     else:
         doc = {
             "support": [int(j) for j in solution.support],
-            "error_p": _num_out(solution.error_p),
-            "error_inf": _num_out(solution.error_inf),
-            "ratio_bound": _num_out(solution.ratio_bound),
+            "error_p": solution.error_p,
+            "error_inf": solution.error_inf,
+            "ratio_bound": solution.ratio_bound,
             "iterations": solution.iterations,
             "infeasible": False,
         }
     if config is not None:
         doc["config"] = config
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return write_json(doc)
 
 
 def parse_report(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("report must be a JSON object")
-    for key in ("support", "error_p", "error_inf", "ratio_bound", "iterations", "infeasible"):
-        if key not in doc:
-            raise ParseError(f"report missing required key {key!r}")
-    doc = dict(doc)
+    doc = _json_object(
+        text, "report", ("support", "error_p", "error_inf", "ratio_bound", "iterations", "infeasible")
+    )
     for key in ("error_p", "error_inf", "ratio_bound", "full_support_error"):
         if key in doc:
             doc[key] = _num_in(doc[key], key, allow_none=True)
@@ -365,7 +391,7 @@ def parse_report(text: str) -> dict:
 def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str:
     """Per-point CSV (x columns, target, model value) for external plotting."""
     rows = np.column_stack([data.x, data.f, np.asarray(predicted, dtype=np.float64)])
-    return _write_rows(rows, f"# {comment}" if comment else None)
+    return _write_rows(rows.tolist(), f"# {comment}" if comment else None)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver import FitProblem, GreedyPath, GreedyState, Infeasible
+from .solver import SGLE, SMMAE, FitProblem, GreedyPath, GreedyState, Infeasible
 from .solver import greedy_sparse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .tropical import ShapeError
 
@@ -119,7 +119,9 @@ class SlopeSet:
 
 @dataclass(frozen=True)
 class PwlModel:
-    """Max-of-affine model: p(x) = max over finite-intercept k of a_k.x + b_k."""
+    """Max-of-affine model: p(x) = max over finite-intercept k of a_k.x + b_k.
+
+    Finite slopes, no NaN intercept and a known estimator: every model can be written and read back."""
 
     slopes: np.ndarray
     intercepts: np.ndarray
@@ -137,8 +139,16 @@ class PwlModel:
         c = np.asarray(self.intercepts, dtype=np.float64)
         if s.ndim != 2 or c.ndim != 1 or s.shape[0] != c.shape[0] or s.shape[0] < 1:
             raise ShapeError(f"inconsistent model shapes {s.shape} / {c.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("slopes must be finite")
+        if np.isnan(c).any():
+            raise ValueError("intercepts must not be NaN")
+        if self.estimator not in (SGLE, SMMAE):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
         object.__setattr__(self, "slopes", s)
         object.__setattr__(self, "intercepts", c)
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "theta", float(self.theta))
 
     @property
     def dim(self) -> int:

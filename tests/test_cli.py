@@ -245,7 +245,8 @@ class TestFitAndSweep:
             "--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5",
             "--p", "inf,1", "--theta", "inf,0.5", "--out", str(out),
         ]
-        assert main(argv) == 0
+        with pytest.warns(UserWarning, match="no approximation guarantee"):
+            assert main(argv) == 0
 
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -255,6 +256,44 @@ class TestFitAndSweep:
         assert config["p_list"] == ["inf", 1.0]
         assert config["budgets"] == ["inf", 0.5]
         assert (out / "plot_p1_theta0.5.csv").read_text().splitlines()[0] == first
+
+
+def test_every_file_written_is_lf_only_and_strict_json(worked_files, tmp_path):
+    a, b = worked_files
+    out = tmp_path / "out"
+    grid = ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5"]
+    assert main(["gen-example", "1", "--out", str(out / "data")]) == 0
+    data = str(out / "data" / "example1.csv")
+    assert main(["fit", data, *grid, "--p", "1", "--theta", "0.5", "--out", str(out / "fit")]) == 0
+    assert main(["sweep", data, *grid, "--p", "1", "--theta", "0,0.5", "--out", str(out / "sweep")]) == 0
+    assert ",,,True\n" in (out / "sweep" / "sweep.csv").read_text()  # theta = 0 is infeasible
+    with pytest.warns(UserWarning, match="no approximation guarantee"):
+        argv = ["sweep", data, *grid, "--p", "inf,1", "--theta", "inf,0.5", "--out", str(out / "sweep_inf")]
+        assert main(argv) == 0
+    assert main(["solve", str(a), str(b), "--p", "1", "--theta", "1", "--out", str(out / "solve")]) == 0
+    (tmp_path / "A0.csv").write_text("0\n0\n")
+    (tmp_path / "b0.csv").write_text("0\n5\n")
+    argv = ["solve", str(tmp_path / "A0.csv"), str(tmp_path / "b0.csv"), "--p", "2", "--theta", "1"]
+    assert main([*argv, "--out", str(out / "infeasible")]) == 2
+    argv = ["bench", "--trials", "2", "--size", "5", "--delta", "inf", "--out", str(out / "bench")]
+    assert main(argv) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    written = sorted(path for path in out.rglob("*") if path.is_file())
+    names = {path.name for path in written}
+    assert {"example1.csv", "model.json", "fit_plot.csv", "fit.csv", "sweep.csv", "solution.csv", "report.json",
+            "bench.csv", "bench_summary.json"} <= names
+    for path in written:
+        raw = path.read_bytes()
+        assert b"\r" not in raw, path
+        text = raw.decode()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=refuse)
+        for line in text.splitlines():
+            if line.startswith("# config: "):
+                json.loads(line.removeprefix("# config: "), parse_constant=refuse)
 
 
 class TestGenerators:

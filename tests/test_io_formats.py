@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -22,6 +24,7 @@ from tropfit.io_formats import (
     write_model,
     write_plot_data,
     write_report,
+    write_table,
     write_vector,
 )
 from tropfit.regression import Dataset, PwlModel
@@ -327,6 +330,17 @@ def reference_write_plot_data(data, predicted, comment=None):
     return head + "\n".join(",".join(reference_cell(v) for v in row) for row in rows) + "\n"
 
 
+def reference_write_table(header, rows, comment=None):
+    # csv.writer, as tables were first written, with bare newlines for its "\r\n"
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225e-309, 1e308, -1e308, 1.7976931348623157e308, 0.1]
 finite_cells = st.one_of(st.sampled_from(EDGE_FINITE), st.floats(allow_nan=False, allow_infinity=False))
 extended_cells = st.one_of(finite_cells, st.sampled_from([math.inf, -math.inf]))
@@ -369,6 +383,16 @@ class TestOneRowWriter:
     def test_plot_data_bytes(self, data, comment, draw):
         predicted = draw.draw(hnp.arrays(np.float64, len(data), elements=extended_cells))
         assert write_plot_data(data, predicted, comment) == reference_write_plot_data(data, predicted, comment)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5), comments, st.data())
+    def test_table_bytes(self, width, comment, draw):
+        # two columns at least: csv.writer quotes a lone empty cell as ""
+        names = st.sampled_from(["p", "theta", "rms", "support", "infeasible"])
+        cells = st.one_of(extended_cells, st.integers(), st.booleans(), st.none())
+        header = draw.draw(st.lists(names, min_size=width, max_size=width))
+        rows = draw.draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=4))
+        assert write_table(header, rows, comment) == reference_write_table(header, rows, comment)
 
 
 def cased(word):
@@ -435,6 +459,35 @@ class TestModelJson:
     def test_infinite_p_round_trips(self):
         m = sample_model(p=math.inf)
         assert parse_model(write_model(m)).p == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_model_that_constructs_round_trips(self, draw):
+        pieces, dim = draw.draw(st.integers(1, 4)), draw.draw(st.integers(1, 3))
+        extended = st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf]))
+        m = PwlModel(
+            slopes=draw.draw(finite_matrix(pieces, dim)),
+            intercepts=draw.draw(hnp.arrays(np.float64, pieces, elements=st.one_of(extended_cells, st.just(NEG)))),
+            p=draw.draw(st.one_of(st.integers(1, 200), extended)),
+            theta=draw.draw(st.one_of(st.integers(0, 10), extended)),
+            estimator=draw.draw(st.sampled_from(["sgle", "smmae"])),
+            seed=draw.draw(st.one_of(st.none(), st.integers())),
+            rms=draw.draw(st.one_of(st.none(), extended)),
+            max_abs=draw.draw(st.one_of(st.none(), extended)),
+        )
+        text = write_model(m)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(text, parse_constant=refuse)
+        assert type(m.p) is float and type(m.theta) is float
+        assert all(type(doc[key]) in (float, str) for key in ("p", "theta"))  # an int p is written as 1.0
+        again = parse_model(text)
+        assert again.slopes.tobytes() == m.slopes.tobytes()
+        assert again.intercepts.tobytes() == m.intercepts.tobytes()
+        assert (again.p, again.theta, again.estimator, again.seed) == (m.p, m.theta, m.estimator, m.seed)
+        assert (again.rms, again.max_abs) == (m.rms, m.max_abs)
 
     def test_missing_estimator_is_schema_error(self):
         doc = json.loads(write_model(sample_model()))

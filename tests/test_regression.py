@@ -196,6 +196,19 @@ class TestFitEvaluateScore:
         with pytest.raises(ShapeError):
             PwlModel(np.zeros((0, width)), np.zeros(0), p=1, theta=0.0, estimator="sgle")
 
+    @pytest.mark.parametrize(
+        "slopes, intercepts, estimator, match",
+        [
+            ([[np.inf]], [0.0], "sgle", "slopes must be finite"),
+            ([[1.0]], [np.nan], "sgle", "NaN"),
+            ([[1.0]], [0.0], "bogus", "estimator"),
+        ],
+        ids=["inf-slope", "nan-intercept", "unknown-estimator"],
+    )
+    def test_model_that_cannot_be_written_and_read_back_is_refused(self, slopes, intercepts, estimator, match):
+        with pytest.raises(ValueError, match=match):
+            PwlModel(np.array(slopes), np.array(intercepts), p=1, theta=0.0, estimator=estimator)
+
     def test_constant_model_rms(self):
         d = line_data(0.0, 0.0, points=5)
         m = PwlModel(np.array([[0.0]]), np.array([2.0]), p=1, theta=0.0, estimator="sgle")
