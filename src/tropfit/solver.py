@@ -22,6 +22,15 @@ which survives norm orders as high as p = 150 without overflow; the
 greedy argmin and the budget test are invariant under the monotone
 root map.  Certificate arithmetic, which needs raw p-th powers, runs
 in log-domain.
+
+The state stores the singleton errors column-major, so each candidate
+column is contiguous.  Each greedy pick (GreedyState.select_best) is the
+exact argmin over the free columns, but it evaluates few norms in full.
+Two lower bounds on each candidate's norm rule columns out first: its
+max entry, which min and max compute without rounding, and a p-th-power
+sum over the 64 rows with the largest error, shrunk by a bound on its
+rounding.  The norms that remain are evaluated in batches, bit for bit
+as pnorm evaluates one.  No pick builds an m×n array.
 """
 
 from __future__ import annotations
@@ -61,6 +70,10 @@ SGLE = "sgle"
 SMMAE = "smmae"
 
 
+_CHUNK = 64  # rows per bound chunk of select_best, and columns per full-bound chunk
+_FIRST_BLOCK, _LAST_BLOCK = 16, 128  # exact-norm block sizes: doubling, then capped
+
+
 class Infeasible(Exception):
     """Even the full support cannot meet the error budget."""
 
@@ -84,6 +97,60 @@ def pnorm(v, p: float) -> float:
     if math.isinf(m) or math.isinf(p):
         return m
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+
+
+def _power_terms(rows: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
+    """pnorm's scaled terms (r/M)^p, in place, for rows whose max M is given.
+
+    Rows whose max is 0 or +inf are zeroed instead, so no division warns;
+    returns the mask of the rows that were scaled.
+    """
+    scaled = (top > 0.0) & (top < math.inf)
+    rows[~scaled] = 0.0
+    rows /= np.where(scaled, top, 1.0)[:, np.newaxis]
+    rows **= p
+    return scaled
+
+
+def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """pnorm of every row of a C-contiguous block of non-negative rows, bit for bit.
+
+    Overwrites ``rows``.  Each row's power sum runs along the contiguous
+    axis, as pnorm's does, and the root is taken on a Python float.
+    """
+    top = rows.max(axis=1)
+    if math.isinf(p):
+        return top
+    _power_terms(rows, top, p)
+    root = 1.0 / p
+    sums = rows.sum(axis=1).tolist()
+    return np.array([m * s**root if 0.0 < m < math.inf else (m if m else 0.0) for m, s in zip(top.tolist(), sums)])
+
+
+def _candidates(columns: np.ndarray, cols, cur_error: np.ndarray) -> np.ndarray:
+    """The candidate errors min(cur_error, e({j})) of ``cols``, one row each."""
+    block = columns[cols]
+    return np.minimum(block, cur_error, out=block)
+
+
+def _norm_floors(rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
+    """Lower bounds on the pnorm of every row of a block of non-negative rows.
+
+    Each bound is the row's max M, the norm itself for p = inf; for finite p
+    it is raised to M * (sum over ``cols`` of (r/M)^p)^(1/p).  Those terms are
+    bit for bit the exact norm's (same division, same power), so only the
+    rounding of the two sums and of the roots can part the subset's sum
+    from the full one: the sum is shrunk by a bound on both summations'
+    error and the root by a few ulps, which keeps every bound at or below
+    the norm that _row_norms gives.
+    """
+    top = rows.max(axis=1)
+    if math.isinf(p):
+        return top
+    part = rows[:, cols]
+    scaled = _power_terms(part, top, p)
+    sums = part.sum(axis=1) * (1.0 - (rows.shape[1] + cols.size) * 2.0**-48)
+    return np.maximum(top, np.where(scaled, top, 0.0) * sums ** (1.0 / p) * (1.0 - 2.0**-45))
 
 
 def _theta_norm(v, p: float) -> float:
@@ -210,8 +277,9 @@ class GreedyState:
     """The read-only instance the greedy works on: xhat and the singleton errors.
 
     Precomputes the principal solution xhat and the per-singleton error
-    vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps; the
-    build never holds a second m×n array besides A.  Plain addition makes
+    vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps.  It is
+    stored column-major, so each e({j}) is contiguous, and the build never
+    holds a second m×n array besides A.  Plain addition makes
     no NaN: b is finite, and the principal solution refuses +inf in A and
     clamps it out of xhat.  Every candidate error e(T ∪ {s}) =
     min(e(T), e({s})) costs O(m).  Nothing in it changes after the build,
@@ -225,14 +293,17 @@ class GreedyState:
         self.xhat = principal_solution(A, b)  # validates A and b
         self.m, self.n = A.shape
         self.clamped_columns = tuple(int(j) for j in np.nonzero(np.isneginf(A).all(axis=0))[0])
-        # b - (A_j + xhat_j) in one buffer; rounding can push a contribution a
-        # hair above b, and the error vector is non-negative, so clamp
-        e0 = A + self.xhat
-        np.subtract(b[:, np.newaxis], e0, out=e0)
-        self.e0 = np.maximum(e0, 0.0, out=e0)
+        # b - (A_j + xhat_j) in one column-major buffer, so each column is
+        # contiguous; rounding can push a contribution a hair above b, and
+        # the error vector is non-negative, so clamp
+        columns = np.empty((self.n, self.m))
+        np.add(A.T, self.xhat[:, np.newaxis], out=columns)
+        np.subtract(b, columns, out=columns)
+        np.maximum(columns, 0.0, out=columns)
+        columns.flags.writeable = False
+        self.e0 = columns.T
         self.delta = float(self.e0.max())  # the certificate's largest singleton error
         self.xhat.flags.writeable = False
-        self.e0.flags.writeable = False
 
     def error_vector_of(self, T) -> np.ndarray:
         """e(T) for an arbitrary support set; e(empty) is the singleton max."""
@@ -254,30 +325,77 @@ class GreedyState:
         """Argmin over columns outside ``in_support`` of the error after adding
         each to a support whose error is ``cur_error``; lowest index on ties.
 
-        Candidates whose max entry already exceeds the best exact norm found
-        cannot win (||v||_p >= max|v|), so for finite p exact norms are
-        evaluated in ascending order of that lower bound and the scan stops
-        early; this keeps high orders like p = 150 cheap at n = 1000.  For
-        p = inf the max entry is the norm.
+        Column j's candidate error is c_j = min(cur_error, e({j})).  Two
+        lower bounds on its norm let the scan evaluate few norms in full:
+
+        * The max bound.  The max of c_j over any set of rows is at most
+          ||c_j||_p, in floating point too: pnorm's scaled sum holds the
+          term 1.0, so its root is at least 1.  Min and max do not round,
+          so this bound is exact.
+        * The power-sum bound.  For finite p, M * (sum over the seed rows of
+          (c_j/M)^p)^(1/p), with M the max of c_j.  Its terms are the exact
+          norm's, bit for bit, so it sits below the norm up to the rounding
+          of two sums and two roots; _norm_floors shrinks it by a bound on
+          that rounding.
+
+        A column is dropped only when a bound is strictly above a norm that
+        has been evaluated, so it can neither win nor tie.  The scan runs
+        in three steps:
+
+        * Seed.  The max bound over the 64 rows with the largest current
+          error picks one column, whose exact norm t is evaluated.  Only a
+          row with cur_error > t can push a bound above t, so those hot
+          rows are swept in 64-row chunks, and each drops every column
+          whose bound exceeds t.
+        * Survivors.  Their full max bounds, raised by the power-sum bound,
+          come from their contiguous columns, 64 at a time.  For p = inf
+          the full max is the norm, and the scan ends here.
+        * Blocks.  Exact norms are evaluated in ascending-bound blocks of
+          16, 32, 64 and then 128 columns, and the scan stops at a block
+          whose smallest bound is above the best norm.
+
+        No m×n array is built: the largest transient is n×64 or 128×m.
         """
-        cand = np.minimum(cur_error[:, np.newaxis], self.e0)
-        lower = cand.max(axis=0)
-        lower[in_support] = np.inf
+        columns = self.e0.T  # n×m, C-contiguous: one row per candidate column
+        order = np.argsort(-cur_error, kind="stable")
+        seed = np.sort(order[:_CHUNK])
+        part = columns[:, seed]
+        np.minimum(part, cur_error[seed], out=part)
+        bound = part.max(axis=1)
+        del part
+        free = np.flatnonzero(~in_support)
+        s = int(free[np.argmin(bound[free])])
+        t = float(_row_norms(_candidates(columns, [s], cur_error), p)[0])
+
+        alive = free[bound[free] <= t]
+        hot = order[_CHUNK : np.count_nonzero(cur_error > t)]
+        for start in range(0, hot.size, _CHUNK):
+            rows = np.sort(hot[start : start + _CHUNK])
+            part = columns[alive[:, np.newaxis], rows]
+            np.minimum(part, cur_error[rows], out=part)
+            alive = alive[part.max(axis=1) <= t]
+
+        floor = np.empty(alive.size)
+        for start in range(0, alive.size, _CHUNK):
+            chunk = alive[start : start + _CHUNK]
+            floor[start : start + _CHUNK] = _norm_floors(_candidates(columns, chunk, cur_error), seed, p)
         if math.isinf(p):
-            norms = lower
-        else:
-            norms = np.full(self.n, np.inf)
-            best = np.inf
-            for col in np.argsort(lower, kind="stable"):
-                if lower[col] > best:
-                    break
-                if in_support[col]:
-                    continue
-                norms[col] = pnorm(cand[:, col], p)
-                if norms[col] < best:
-                    best = norms[col]
-        free = ~in_support
-        return int(np.flatnonzero(free & (norms == norms[free].min()))[0])
+            return int(alive[np.argmin(floor)])  # alive is ascending
+
+        by_floor = np.argsort(floor, kind="stable")
+        alive, floor = alive[by_floor], floor[by_floor]
+        best, best_j = t, s
+        start, size = 0, _FIRST_BLOCK
+        while start < alive.size and floor[start] <= best:
+            cols = alive[start : start + size]
+            norms = _row_norms(_candidates(columns, cols, cur_error), p)
+            low = norms.min()
+            j = int(cols[norms == low].min())
+            if low < best or (low == best and j < best_j):
+                best, best_j = low, j
+            start += size
+            size = min(2 * size, _LAST_BLOCK)
+        return best_j
 
 
 def _certificate_from(m: int, delta: float, p: float, theta: float, prev_norm: float) -> float:

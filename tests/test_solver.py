@@ -16,6 +16,8 @@ from tropfit.solver import (
     Infeasible,
     _certificate_from,
     _finalize,
+    _norm_floors,
+    _row_norms,
     brute_force_oracle,
     greedy_sparse_solve,
     pnorm,
@@ -471,6 +473,15 @@ class TestFitProblem:
             FitProblem(A_REF, np.array([1.0, NEG, 0.0]), p=1, theta=1.0)
 
 
+def eager_best_column(state, cur_error, in_support, p):
+    """The plain eager scan: the exact norm of every free candidate, then the
+    lowest index at the minimum; no bound, no pruning."""
+    free = np.flatnonzero(~in_support)
+    candidates = [np.minimum(cur_error, state.e0[:, j]) for j in free]
+    scores = [float(c.max()) if math.isinf(p) else pnorm(c, p) for c in candidates]
+    return int(free[scores.index(min(scores))])
+
+
 def reference_greedy_solve(problem):
     """The greedy as a single-budget loop on a fresh state, the reference GreedyPath must equal."""
     p, budget = problem.p, problem.budget
@@ -488,7 +499,7 @@ def reference_greedy_solve(problem):
     current = initial = norm(cur_error)
     steps = []
     while current > budget and len(selected) < state.n:
-        j = state.select_best(cur_error, in_support, p)
+        j = eager_best_column(state, cur_error, in_support, p)
         cur_error = np.minimum(cur_error, state.e0[:, j])
         in_support[j] = True
         selected.append(j)
@@ -670,3 +681,133 @@ class TestInstanceBuild:
         # e0 is the one m×n array the state keeps; numpy's reduction buffers
         # are fixed-size, so the slack is O(m + n)
         assert peak <= A.nbytes + 64 * (m + n) + 2**17
+
+
+# zeros, subnormals and the least normal: where a scaled norm could lose bits
+TINY_VALUES = [v for v in EDGE_VALUES if abs(v) < 1e-300]
+
+
+@st.composite
+def kernel_instances(draw):
+    """Instances large enough for select_best's row chunks and its later blocks."""
+    m, n = draw(st.integers(1, 200)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), (m, n))
+    if draw(st.booleans()):
+        A = np.round(A)  # ties between candidates
+    A[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.02, 0.25]))] = -np.inf
+    b = rng.normal(0.0, 1.0, m)
+    if draw(st.booleans()):
+        b = np.round(b)
+    tiny = rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    b[tiny] = rng.choice(TINY_VALUES, size=int(tiny.sum()))
+    return A, b
+
+
+@st.composite
+def nonnegative_rows(draw):
+    """Blocks of error rows: wide magnitudes, -0.0, all-zero rows, +inf and subnormals."""
+    k, m = draw(st.integers(1, 8)), draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((k, m)) ** draw(st.sampled_from([1.0, 8.0, 60.0]))
+    rows *= draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e300]))
+    specials = draw(st.lists(st.sampled_from([0.0, -0.0, np.inf, 5e-324, 2.2250738585072014e-308]), min_size=1))
+    mask = rng.random((k, m)) < draw(st.sampled_from([0.0, 0.1, 0.9, 1.0]))
+    rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    return rows
+
+
+class TestSelectBest:
+    """The pruned kernel against the plain eager scan and the scalar pnorm."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kernel_instances(), st.data())
+    def test_every_solve_equals_the_eager_scan(self, instance, data):
+        A, b = instance
+        state = GreedyState(A, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
+            for p in (1.0, 2.0, 5.0, 150.0, math.inf):
+                full = state.full_support_norm(p)
+                budgets = [full]
+                if math.isfinite(full):
+                    # stop the eager reference within 25 picks of the path
+                    steps = GreedyPath(state, p).solve(FitProblem(A, b, p=p, theta=full)).trace.iterations
+                    k = data.draw(st.integers(1, 25))
+                    budgets = [steps[min(k, len(steps)) - 1][1]] if steps else budgets
+                for theta in budgets:
+                    problem = FitProblem(A, b, p=p, theta=theta)
+                    got = outcome(GreedyPath(state, p).solve, problem)
+                    want = outcome(reference_greedy_solve, problem)
+                    if isinstance(want, Infeasible):
+                        assert isinstance(got, Infeasible)
+                        assert bits(got.full_support_error) == bits(want.full_support_error)
+                    else:
+                        assert solution_bits(got) == solution_bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_rows(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0, 150.0]))
+    def test_block_norm_is_pnorm_bit_for_bit(self, rows, p):
+        want = np.array([pnorm(row, p) for row in rows])
+        assert bits(_row_norms(rows.copy(), p)) == bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_rows(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0, 150.0, math.inf]), st.data())
+    def test_norm_floors_never_exceed_the_norm(self, rows, p, data):
+        m = rows.shape[1]
+        # every column is the tightest case: the same terms as the exact sum
+        cols = np.arange(m) if data.draw(st.booleans()) else np.flatnonzero(data.draw(arrays(np.bool_, m)))
+        floors = _norm_floors(rows, cols, p)
+        exact = _row_norms(rows.copy(), p)
+        assert (floors <= exact).all()
+        assert (floors >= rows.max(axis=1)).all()
+
+    @pytest.mark.parametrize("case", ["hot row", "block start"])
+    def test_a_tie_at_the_bound_is_kept(self, case):
+        # with b = 0 and a zero in every column, e({j}) is column j of E
+        if case == "hot row":
+            # 70 rows above t, so rows 64-69 are a hot chunk; columns 0 and 1
+            # tie at t = 5 with their max there, and the seed picks column 1
+            E = np.zeros((72, 3))
+            E[:70, 2], E[:64, 0], E[:64, 1] = 10.0, 3.0, 1.0
+            E[64, 0] = E[65, 1] = 5.0
+            p = math.inf
+        else:
+            # at p = 1 all 17 columns tie at 6; columns 1-16 (3 + 3, bound
+            # below 6) fill the first block, so column 0 (bound 6) starts the next
+            E = np.zeros((34, 17))
+            E[0, 0] = 6.0
+            for j in range(1, 17):
+                E[2 * j - 1 : 2 * j + 1, j] = 3.0
+            p = 1.0
+        state = GreedyState(-E, np.zeros(E.shape[0]))
+        assert state.e0.tobytes() == E.tobytes()
+        in_support = np.zeros(E.shape[1], dtype=bool)
+        cur_error = state.error_vector_of([])
+        assert state.select_best(cur_error, in_support, p) == 0
+        for q in (1.0, 2.0, 150.0, math.inf):
+            assert state.select_best(cur_error, in_support, q) == eager_best_column(state, cur_error, in_support, q)
+
+    def test_select_best_holds_no_m_by_n_transient(self):
+        rng = np.random.default_rng(4)
+        A, b = rng.normal(0.0, 2.0, (1000, 1000)), rng.normal(0.0, 1.0, 1000)
+        state = GreedyState(A, b)
+        assert state.e0.T.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            state.e0[0, 0] = 0.0
+        for p in (1.0, 2.0, 150.0, math.inf):
+            cur_error = state.error_vector_of([])
+            in_support = np.zeros(state.n, dtype=bool)
+            peaks = []
+            tracemalloc.start()
+            try:
+                for _ in range(8):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    j = state.select_best(cur_error, in_support, p)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                    cur_error = np.minimum(cur_error, state.e0[:, j])
+                    in_support[j] = True
+            finally:
+                tracemalloc.stop()
+            assert max(peaks) <= A.nbytes / 2, (p, max(peaks) / A.nbytes)
