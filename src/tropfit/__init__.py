@@ -20,7 +20,6 @@ from .solver import (
     FitProblem,
     GreedyPath,
     GreedyState,
-    GreedyTrace,
     Infeasible,
     ProbeReport,
     SparseSolution,
@@ -60,7 +59,6 @@ __all__ = [
     "FitProblem",
     "GreedyPath",
     "GreedyState",
-    "GreedyTrace",
     "Infeasible",
     "ProbeReport",
     "SparseSolution",

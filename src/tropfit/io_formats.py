@@ -261,6 +261,8 @@ def _json_object(text: str, what: str, keys: Iterable[str]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object")
     for key in keys:
@@ -370,7 +372,7 @@ def write_report(
             "error_p": solution.error_p,
             "error_inf": solution.error_inf,
             "ratio_bound": solution.ratio_bound,
-            "iterations": solution.iterations,
+            "iterations": len(solution.support),
             "infeasible": False,
         }
     if config is not None:

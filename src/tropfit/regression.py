@@ -190,15 +190,17 @@ def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
         raise ValueError("hi must be >= lo in every dimension")
     if not step > 0:
         raise ValueError("step must be positive")
-    # Python ints: an int64 product wraps (2^64 -> 0) and slips past the cap
-    counts = [int(c) + 1 for c in np.floor((hi - lo) / step + 1e-9)]
-    total = math.prod(counts)
+    with np.errstate(over="ignore"):
+        spans = np.floor((hi - lo) / step + 1e-9)
+    # Python ints: an int64 product wraps (2^64 -> 0) and slips past the cap;
+    # a span that overflows to inf is past any cap
+    total = math.prod(int(c) + 1 for c in spans) if np.isfinite(spans).all() else math.inf
     if total > cap:
         raise ValueError(
             f"slope grid of {total} candidates exceeds cap {cap}; "
             "use gradient_slopes to stay tractable in higher dimensions"
         )
-    axes = [lo[d] + step * np.arange(counts[d]) for d in range(lo.size)]
+    axes = [lo[d] + step * np.arange(int(c) + 1) for d, c in enumerate(spans)]
     grid = np.array(list(itertools.product(*axes)), dtype=np.float64)
     return SlopeSet(grid, origin="grid")
 
@@ -232,10 +234,11 @@ def gradient_slopes(data: Dataset, k_neighbors: int | None = None) -> SlopeSet:
     for i in range(m):
         nb = idx[i]
         design[:, :n] = data.x[nb]
-        if np.linalg.matrix_rank(design) < n + 1:
+        # lstsq's rank uses matrix_rank's threshold, from its one SVD
+        coef, _, rank, _ = np.linalg.lstsq(design, data.f[nb], rcond=None)
+        if rank < n + 1:
             skipped += 1
             continue
-        coef, *_ = np.linalg.lstsq(design, data.f[nb], rcond=None)
         slopes.append(coef[:n])
     if skipped:
         warnings.warn(f"skipped {skipped} rank-deficient neighborhood(s)", stacklevel=2)

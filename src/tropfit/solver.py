@@ -14,8 +14,9 @@ approximately supermodular, so it carries no guarantee.
 
 ``GreedyState(A, b)`` is the read-only instance, xhat and the singleton
 error vectors, built once per (A, b); ``GreedyPath(GreedyState(A, b), p)``
-is one greedy run over it.  Every budget, norm order and estimator on an
-instance shares the one build.
+is one greedy run over it, and the run's only record: its picks and the
+error of each prefix, which the certificate reads.  Every budget, norm
+order and estimator on an instance shares the one build.
 
 All lp errors are computed as norms (theta-domain) via max-scaling,
 which survives norm orders as high as p = 150 without overflow; the
@@ -53,7 +54,6 @@ from .tropical import (
 __all__ = [
     "Infeasible",
     "FitProblem",
-    "GreedyTrace",
     "SparseSolution",
     "GreedyState",
     "GreedyPath",
@@ -86,17 +86,14 @@ def pnorm(v, p: float) -> float:
     """Overflow-safe lp norm of ``|v|``; ``p`` may be ``math.inf``.
 
     Scales by the largest magnitude M and evaluates M * (sum (v/M)^p)^(1/p),
-    so high orders like p = 150 never overflow for finite input.
+    so high orders like p = 150 never overflow for finite input.  It is the
+    one-row case of _row_norms, so a pick's batched norms and this one agree
+    bit for bit.
     """
     a = np.abs(np.asarray(v, dtype=np.float64))
     if a.size == 0:
         return 0.0
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    if math.isinf(m) or math.isinf(p):
-        return m
-    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+    return float(_row_norms(a.reshape(1, -1), p)[0])
 
 
 def _power_terms(rows: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
@@ -113,10 +110,11 @@ def _power_terms(rows: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
 
 
 def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """pnorm of every row of a C-contiguous block of non-negative rows, bit for bit.
+    """pnorm of every row of a C-contiguous block of non-negative rows.
 
     Overwrites ``rows``.  Each row's power sum runs along the contiguous
-    axis, as pnorm's does, and the root is taken on a Python float.
+    axis, and the root is taken on a Python float: M * (sum (r/M)^p)^(1/p),
+    or M itself for p = inf or M = +inf, and 0.0 for an all-zero row.
     """
     top = rows.max(axis=1)
     if math.isinf(p):
@@ -238,23 +236,15 @@ class FitProblem:
 
 
 @dataclass(frozen=True)
-class GreedyTrace:
-    """Replayable record of one solve."""
-
-    initial_error: float
-    iterations: tuple[tuple[int, float], ...] = ()
-    clamped_columns: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class SparseSolution:
-    """Solution vector with its support, residual statistics and solve trace.
+    """Solution vector with its support, residual statistics and certificate.
 
-    ``residual`` is the error vector e(T) of the selected support (signed
-    after an SMMAE shift).  For the degenerate empty support, e({}) is the
-    singleton-max vector of the set-search formulation, which is what the
-    budget test in the greedy loop sees; b - A(max-plus)x itself would be
-    +inf there.
+    ``support`` lists the picked columns in greedy order.  ``residual`` is
+    the error vector e(T) of the selected support (signed after an SMMAE
+    shift).  For the degenerate empty support, e({}) is the singleton-max
+    vector of the set-search formulation, which is what the budget test in
+    the greedy loop sees; b - A(max-plus)x itself would be +inf there.  The
+    run's per-pick errors live in its GreedyPath.
     """
 
     x: np.ndarray
@@ -263,14 +253,8 @@ class SparseSolution:
     error_p: float
     error_inf: float
     p: float
-    theta: float
     estimator: str
-    trace: GreedyTrace
     ratio_bound: float | None = None
-
-    @property
-    def iterations(self) -> int:
-        return len(self.support)
 
 
 class GreedyState:
@@ -292,7 +276,6 @@ class GreedyState:
         b = np.asarray(b, dtype=np.float64)
         self.xhat = principal_solution(A, b)  # validates A and b
         self.m, self.n = A.shape
-        self.clamped_columns = tuple(int(j) for j in np.nonzero(np.isneginf(A).all(axis=0))[0])
         # b - (A_j + xhat_j) in one column-major buffer, so each column is
         # contiguous; rounding can push a contribution a hair above b, and
         # the error vector is non-negative, so clamp
@@ -419,7 +402,6 @@ def _finalize(
     state: GreedyState,
     support: tuple[int, ...],
     problem: FitProblem,
-    trace: GreedyTrace,
     ratio_bound: float | None,
 ) -> SparseSolution:
     x = project_on_support(state.xhat, support)
@@ -432,9 +414,7 @@ def _finalize(
         error_p=err_p,
         error_inf=float(np.abs(residual).max()),
         p=problem.p,
-        theta=problem.budget,
         estimator=SGLE,
-        trace=trace,
         ratio_bound=ratio_bound,
     )
     if problem.estimator == SMMAE:
@@ -457,6 +437,12 @@ class GreedyPath:
     as far as the tightest budget asked so far; budgets may come in any
     order, and each answer equals an independent solve at that budget.  For
     p = inf the variant is a comparison heuristic with no guarantee.
+
+    The run is its own record: ``selected`` holds the picks in order, and
+    ``errors`` the theta-domain error of each prefix, E(empty), E(T_1),
+    E(T_2), ..., one longer than ``selected``.  A solution with k columns
+    has support ``selected[:k]``; its budget test read ``errors[k]``, and
+    its ratio certificate is computed from ``errors[k - 1]``.
     """
 
     def __init__(self, state: GreedyState, p: float):
@@ -472,7 +458,7 @@ class GreedyPath:
         self.cur_error = state.error_vector_of([])
         self.selected: list[int] = []
         self._in_support = np.zeros(state.n, dtype=bool)
-        self.errors = [_theta_norm(self.cur_error, p)]  # E(empty), E(T_1), E(T_2), ...
+        self.errors = [_theta_norm(self.cur_error, p)]
 
     def solve(self, problem: FitProblem) -> SparseSolution:
         """The greedy solution at ``problem``'s budget and estimator (its data is ignored)."""
@@ -491,19 +477,14 @@ class GreedyPath:
                 self.cur_error = np.minimum(self.cur_error, state.e0[:, j])
                 self.selected.append(j)
                 self._in_support[j] = True
-                # the error of the updated support, so the traced error, the
-                # budget test and the final error_p share one arithmetic path
+                # the error of the updated support, so the recorded error,
+                # the budget test and the final error_p share one arithmetic path
                 self.errors.append(_theta_norm(self.cur_error, p))
         support = tuple(self.selected[:k])
         bound = None
         if not math.isinf(p) and support:
             bound = _certificate_from(state.m, state.delta, p, budget, self.errors[k - 1])
-        trace = GreedyTrace(
-            initial_error=self.errors[0],
-            iterations=tuple(zip(support, self.errors[1 : k + 1])),
-            clamped_columns=state.clamped_columns,
-        )
-        return _finalize(state, support, problem, trace, bound)
+        return _finalize(state, support, problem, bound)
 
 
 def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
@@ -575,8 +556,7 @@ def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolu
         for T in itertools.combinations(range(state.n), size)
         if state.error_norm_of(T, p) <= budget
     )
-    trace = GreedyTrace(initial_error=state.error_norm_of([], p), clamped_columns=state.clamped_columns)
-    return _finalize(state, T, problem, trace, None)
+    return _finalize(state, T, problem, None)
 
 
 def _log_power_drop(norm_hi: float, norm_lo: float, p: float) -> float:

@@ -103,7 +103,7 @@ def principal_solution(A, b) -> np.ndarray:
 
     xhat_j = min_i (b_i - A_ij), i.e. (-A)^T (min-plus) b, for finite ``b`` and
     A in R ∪ {-inf}.  An all-(-inf) column gets +inf, clamped to -inf to keep
-    xhat in R ∪ {-inf}; callers recover these as the all-(-inf) columns of A.
+    xhat in R ∪ {-inf}.
     """
     A = as_matrix(A)
     b = as_vector(b)

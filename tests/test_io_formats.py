@@ -549,6 +549,8 @@ class TestModelJson:
             parse_model("{not json")
         with pytest.raises(ParseError):
             parse_model("[1,2]")
+        with pytest.raises(ParseError, match="nested"):
+            parse_model("[" * 100000)  # the decoder's recursion limit
 
 
 class TestReportJson:
@@ -569,6 +571,10 @@ class TestReportJson:
     def test_infeasible_report_keeps_full_support_error(self):
         doc = parse_report(write_report(None, full_support_error=math.inf))
         assert doc["full_support_error"] == math.inf
+
+    def test_invalid_json(self):
+        with pytest.raises(ParseError, match="nested"):
+            parse_report("[" * 100000)
 
     def test_infinite_bound_token(self):
         text = write_report(None).replace('"ratio_bound": null', '"ratio_bound": "inf"')

@@ -1,8 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfit.regression import (
     Dataset,
@@ -75,19 +78,78 @@ class TestGridSlopes:
         with pytest.raises(ValueError):
             grid_slopes([0.0], [1.0], 0.0)
 
-    @pytest.mark.parametrize("dims, hi", [(64, 1.0), (40, 2.0)])
-    def test_cap_holds_where_int64_count_wraps(self, monkeypatch, dims, hi):
-        # 2^64 wraps to 0 and 3^40 to a negative count in int64
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [([0.0] * 64, [1.0] * 64, 1.0), ([0.0] * 40, [2.0] * 40, 1.0), ([0.0], [1.0], 1e-320), ([-1e308], [1e308], 1.0)],
+        ids=["64-1.0", "40-2.0", "tiny-step", "huge-span"],
+    )
+    def test_cap_holds_where_int64_count_wraps(self, monkeypatch, lo, hi, step):
+        # 2^64 wraps to 0 and 3^40 to a negative count in int64; the last two
+        # counts overflow float, which is past any cap
         def no_grid(*axes):
             raise AssertionError("grid built past the cap")
 
         monkeypatch.setattr(itertools, "product", no_grid)
         with pytest.raises(ValueError, match="exceeds cap"):
-            grid_slopes([0.0] * dims, [hi] * dims, 1.0)
+            grid_slopes(lo, hi, step)
 
     def test_nonfinite_corner_refused(self):
         with pytest.raises(ValueError, match="finite"):
             grid_slopes([0.0], [math.inf], 1.0)
+
+
+def matrix_rank_gradient_slopes(data, k):
+    """gradient_slopes with a separate matrix_rank test before each lstsq:
+    the reference that the one-SVD form must equal."""
+    from scipy.spatial import cKDTree
+
+    n = data.dim
+    _, idx = cKDTree(data.x).query(data.x, k=k)
+    slopes, skipped = [], 0
+    design = np.empty((k, n + 1))
+    design[:, n] = 1.0
+    for nb in idx:
+        design[:, :n] = data.x[nb]
+        if np.linalg.matrix_rank(design) < n + 1:
+            skipped += 1
+            continue
+        coef, *_ = np.linalg.lstsq(design, data.f[nb], rcond=None)
+        slopes.append(coef[:n])
+    if skipped:
+        warnings.warn(f"skipped {skipped} rank-deficient neighborhood(s)", stacklevel=2)
+    if not slopes:
+        raise ValueError("no usable gradient estimates (all neighborhoods degenerate)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SlopeSet(np.array(slopes), origin="gradients")
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """Small datasets with duplicated, collinear or rounded points, and a neighborhood size."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n + 1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (m, n))
+    kind = draw(st.sampled_from(["duplicated", "collinear", "rounded", "general"]))
+    if kind == "duplicated":
+        x[rng.integers(0, m, m // 2 + 1)] = x[0]
+    elif kind == "collinear":
+        x = np.outer(rng.normal(size=m), rng.normal(size=n)) + rng.normal(size=n)
+    elif kind == "rounded":
+        x = np.round(x)
+    return Dataset(x, rng.normal(size=m)), min(draw(st.integers(n + 1, 2 * n + 3)), m)
+
+
+def slopes_outcome(make, data, k):
+    """The slopes' bits, or the error, with the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = make(data, k).slopes.tobytes()
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
 
 
 class TestGradientSlopes:
@@ -131,6 +193,12 @@ class TestGradientSlopes:
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
             gradient_slopes(Dataset(np.zeros((2, 3)), np.zeros(2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_datasets())
+    def test_one_svd_equals_the_matrix_rank_reference(self, case):
+        data, k = case
+        assert slopes_outcome(gradient_slopes, data, k) == slopes_outcome(matrix_rank_gradient_slopes, data, k)
 
 
 class TestDesignMatrix:

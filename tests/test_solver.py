@@ -12,7 +12,6 @@ from tropfit.solver import (
     FitProblem,
     GreedyPath,
     GreedyState,
-    GreedyTrace,
     Infeasible,
     _certificate_from,
     _finalize,
@@ -59,6 +58,7 @@ class TestPnorm:
         assert pnorm([-2.0, 1.0], math.inf) == 2.0
         assert pnorm([0.0, 0.0], 7) == 0.0
         assert pnorm([1.0, np.inf], 3) == np.inf
+        assert pnorm([], 2) == 0.0
 
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
@@ -129,10 +129,12 @@ class TestErrorFunctions:
 class TestGreedy:
     def test_linf_path_on_worked_instance(self):
         with pytest.warns(UserWarning, match="no approximation guarantee"):
-            sol = greedy_sparse_solve(FitProblem(A_REF, B_REF, p=math.inf, theta=0.0))
+            path = GreedyPath(GreedyState(A_REF, B_REF), math.inf)
+        sol = path.solve(FitProblem(None, None, p=math.inf, theta=0.0))
         # {3} first, then the 0.5-vs-0.5 tie resolved to the lower index
         assert sol.support == (2, 0, 1)
-        assert sol.trace.iterations[0][0] == 2
+        assert path.selected == [2, 0, 1]
+        assert path.errors == [3.0, 0.5, 0.5, 0.0]
         assert sol.error_inf == 0.0
 
     def test_linf_path_when_no_single_column_closes_an_infinite_row(self):
@@ -144,16 +146,18 @@ class TestGreedy:
         for p in (math.inf, 2.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = greedy_sparse_solve(FitProblem(A, b, p=p, theta=0.0))
+                path = GreedyPath(GreedyState(A, b), p)
+            sol = path.solve(FitProblem(None, None, p=p, theta=0.0))
             assert sol.support == (0, 1, 2)
-            assert [e for _, e in sol.trace.iterations] == [math.inf, math.inf, 0.0]
+            assert path.errors[1:] == [math.inf, math.inf, 0.0]
 
     def test_l1_path_on_worked_instance(self):
-        sol = greedy_sparse_solve(FitProblem(A_REF, B_REF, p=1, theta=1.0))
+        path = GreedyPath(GreedyState(A_REF, B_REF), 1)
+        sol = path.solve(FitProblem(None, None, p=1, theta=1.0))
         assert sol.support == (2, 0)
         assert sol.error_p == 1.0
-        assert sol.trace.initial_error == pnorm([6.0, 2.0, 3.0], 1)
-        assert [j for j, _ in sol.trace.iterations] == [2, 0]
+        assert path.errors == [pnorm([6.0, 2.0, 3.0], 1), 2.0, 1.0]
+        assert path.selected == [2, 0]
         assert np.array_equal(sol.x, [-3.0, NEG, 0.0])
 
     def test_budget_already_met_by_empty_set(self):
@@ -192,17 +196,11 @@ class TestGreedy:
         rng = np.random.default_rng(13)
         A, b = random_instance(rng)
         prob = FitProblem(A, b, p=5, theta=GreedyState(A, b).full_support_norm(5) * 1.5)
-        s1 = greedy_sparse_solve(prob)
-        s2 = greedy_sparse_solve(prob)
+        p1, p2 = GreedyPath(GreedyState(A, b), 5), GreedyPath(GreedyState(A, b), 5)
+        s1, s2 = p1.solve(prob), p2.solve(prob)
         assert s1.support == s2.support
-        assert s1.trace == s2.trace
+        assert (p1.selected, bits(p1.errors)) == (p2.selected, bits(p2.errors))
         assert np.array_equal(s1.x, s2.x)
-
-    def test_clamped_column_recorded(self):
-        A = np.array([[2.0, NEG], [1.0, NEG]])
-        b = np.array([5.0, 3.0])
-        sol = greedy_sparse_solve(FitProblem(A, b, p=1, theta=10.0))
-        assert sol.trace.clamped_columns == (1,)
 
 
 class TestRatioCertificate:
@@ -232,7 +230,7 @@ class TestRatioCertificate:
                 assert sol.ratio_bound >= 1.0
 
     def test_matches_plain_arithmetic_on_random_instances(self):
-        # the trace against errors recomputed from the support, and the
+        # the run's prefix errors against errors recomputed from the support, and the
         # log-domain bound against 1 + log((m Delta^p - eps) / (E(T_{k-1}) - eps))
         # in plain arithmetic, eps = theta^p
         rng = np.random.default_rng(41)
@@ -243,11 +241,10 @@ class TestRatioCertificate:
             state = GreedyState(A, b)
             full, empty = state.full_support_norm(p), state.error_norm_of([], p)
             theta = full + rng.uniform(0, 1) * (empty - full)
-            sol = greedy_sparse_solve(FitProblem(A, b, p=p, theta=theta))
-            assert sol.trace.initial_error == state.error_norm_of([], p)
-            for k, (j, err) in enumerate(sol.trace.iterations):
-                assert j == sol.support[k]
-                assert err == state.error_norm_of(sol.support[: k + 1], p)
+            path = GreedyPath(state, p)
+            sol = path.solve(FitProblem(A, b, p=p, theta=theta))
+            assert tuple(path.selected) == sol.support
+            assert path.errors == [state.error_norm_of(sol.support[:k], p) for k in range(len(sol.support) + 1)]
             if not sol.support:
                 assert sol.ratio_bound is None
                 continue
@@ -483,7 +480,10 @@ def eager_best_column(state, cur_error, in_support, p):
 
 
 def reference_greedy_solve(problem):
-    """The greedy as a single-budget loop on a fresh state, the reference GreedyPath must equal."""
+    """The greedy as a single-budget loop on a fresh state, the reference GreedyPath must equal.
+
+    Returns the solution and the run's prefix errors E(empty), E(T_1), ..., E(T_k).
+    """
     p, budget = problem.p, problem.budget
     state = GreedyState(problem.A, problem.b)
     full = state.full_support_norm(p)
@@ -496,30 +496,35 @@ def reference_greedy_solve(problem):
     cur_error = state.e0.max(axis=1)
     in_support = np.zeros(state.n, dtype=bool)
     selected = []
-    current = initial = norm(cur_error)
-    steps = []
-    while current > budget and len(selected) < state.n:
+    errors = [norm(cur_error)]
+    while errors[-1] > budget and len(selected) < state.n:
         j = eager_best_column(state, cur_error, in_support, p)
         cur_error = np.minimum(cur_error, state.e0[:, j])
         in_support[j] = True
         selected.append(j)
-        current = norm(cur_error)
-        steps.append((j, current))
+        errors.append(norm(cur_error))
     support = tuple(selected)
     bound = None
     if not math.isinf(p) and support:
-        prev = initial if len(support) == 1 else steps[-2][1]
-        bound = _certificate_from(state.m, float(state.e0.max()), p, budget, prev)
-    trace = GreedyTrace(initial_error=initial, iterations=tuple(steps), clamped_columns=state.clamped_columns)
-    return _finalize(state, support, problem, trace, bound)
+        bound = _certificate_from(state.m, float(state.e0.max()), p, budget, errors[-2])
+    return _finalize(state, support, problem, bound), errors
+
+
+def path_solve(path, problem):
+    """``path.solve`` with the run's prefix errors up to its support, as reference_greedy_solve returns them."""
+    sol = path.solve(problem)
+    k = len(sol.support)
+    assert tuple(path.selected[:k]) == sol.support
+    return sol, path.errors[: k + 1]
 
 
 def bits(v):
     return None if v is None else np.asarray(v, dtype=np.float64).tobytes()
 
 
-def solution_bits(sol):
-    trace = sol.trace
+def run_bits(run):
+    """A solution and its run's prefix errors, bit for bit."""
+    sol, errors = run
     return (
         bits(sol.x),
         sol.support,
@@ -527,16 +532,14 @@ def solution_bits(sol):
         bits(sol.error_p),
         bits(sol.error_inf),
         bits(sol.ratio_bound),
-        bits(trace.initial_error),
-        tuple((j, bits(e)) for j, e in trace.iterations),
-        trace.clamped_columns,
+        bits(errors),
         sol.estimator,
     )
 
 
-def outcome(solve, problem):
+def outcome(solve, *args):
     try:
-        return solve(problem)
+        return solve(*args)
     except Infeasible as exc:
         return exc
 
@@ -564,8 +567,8 @@ class TestGreedyPath:
             # some budgets sit exactly on a step of the path
             budgets = [top]
             if math.isfinite(full):
-                tightest = reference_greedy_solve(FitProblem(A, b, p=p, theta=full))
-                budgets += [e for _, e in tightest.trace.iterations]
+                _, errors = reference_greedy_solve(FitProblem(A, b, p=p, theta=full))
+                budgets += errors[1:]
             scale = top if 0.0 < top < math.inf else 10.0
             budgets = [e for e in budgets if math.isfinite(e)] + [0.0, 1e9]
             budgets += [f * scale for f in data.draw(st.lists(st.floats(0, 1.5), max_size=6))]
@@ -574,19 +577,20 @@ class TestGreedyPath:
                 sgle = None
                 for estimator in ("sgle", "smmae"):
                     problem = FitProblem(A, b, p=p, theta=theta, estimator=estimator)
-                    got = outcome(path.solve, problem)
+                    got = outcome(path_solve, path, problem)
                     want = outcome(reference_greedy_solve, problem)
                     if isinstance(want, Infeasible):
                         assert isinstance(got, Infeasible)
                         assert bits(got.full_support_error) == bits(want.full_support_error)
                         continue
-                    assert solution_bits(got) == solution_bits(want)
+                    assert run_bits(got) == run_bits(want)
+                    sol = got[0]
                     if estimator == "sgle":
                         # lateness: the SGLE solution never overshoots b
-                        assert (maxplus_product(A, got.x) <= b + 1e-9).all()
-                        sgle = got
-                    elif got.support and math.isfinite(sgle.error_inf):
-                        assert got.error_inf == 0.5 * sgle.error_inf  # the exact SMMAE halving
+                        assert (maxplus_product(A, sol.x) <= b + 1e-9).all()
+                        sgle = sol
+                    elif sol.support and math.isfinite(sgle.error_inf):
+                        assert sol.error_inf == 0.5 * sgle.error_inf  # the exact SMMAE halving
 
     @settings(max_examples=100, deadline=None)
     @given(path_instances(), st.data())
@@ -606,13 +610,13 @@ class TestGreedyPath:
                 asks += [(p, f * scale) for f in fractions] + [(p, full)] * math.isfinite(full)
             for p, theta in data.draw(st.permutations(asks)):
                 problem = FitProblem(A, b, p=p, theta=theta)
-                got = outcome(paths[p].solve, problem)
+                got = outcome(path_solve, paths[p], problem)
                 want = outcome(reference_greedy_solve, problem)
                 if isinstance(want, Infeasible):
                     assert isinstance(got, Infeasible)
                     assert bits(got.full_support_error) == bits(want.full_support_error)
                 else:
-                    assert solution_bits(got) == solution_bits(want)
+                    assert run_bits(got) == run_bits(want)
         assert (state.e0.tobytes(), state.xhat.tobytes()) == (e0, xhat)
         for shared in (state.e0, state.xhat):
             with pytest.raises(ValueError, match="read-only"):
@@ -651,7 +655,7 @@ def assert_build_equals_semiring_reference(A, b):
     assert got.tobytes() == xhat.tobytes()
     assert state.xhat.tobytes() == xhat.tobytes()
     assert state.e0.tobytes() == e0.tobytes()
-    assert state.clamped_columns == tuple(np.flatnonzero(np.isneginf(A).all(axis=0)))
+    assert np.isneginf(state.xhat[np.isneginf(A).all(axis=0)]).all()  # bottom columns are clamped
 
 
 class TestInstanceBuild:
@@ -717,6 +721,19 @@ def nonnegative_rows(draw):
     return rows
 
 
+def scalar_pnorm(v, p):
+    """pnorm as a formula on one vector: the reference its batched form must equal bit for bit."""
+    a = np.abs(np.asarray(v, dtype=np.float64))
+    if a.size == 0:
+        return 0.0
+    m = float(a.max())
+    if m == 0.0:
+        return 0.0
+    if math.isinf(m) or math.isinf(p):
+        return m
+    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+
+
 class TestSelectBest:
     """The pruned kernel against the plain eager scan and the scalar pnorm."""
 
@@ -732,24 +749,27 @@ class TestSelectBest:
                 budgets = [full]
                 if math.isfinite(full):
                     # stop the eager reference within 25 picks of the path
-                    steps = GreedyPath(state, p).solve(FitProblem(A, b, p=p, theta=full)).trace.iterations
+                    path = GreedyPath(state, p)
+                    path.solve(FitProblem(A, b, p=p, theta=full))
+                    steps = path.errors[1:]
                     k = data.draw(st.integers(1, 25))
-                    budgets = [steps[min(k, len(steps)) - 1][1]] if steps else budgets
+                    budgets = [steps[min(k, len(steps)) - 1]] if steps else budgets
                 for theta in budgets:
                     problem = FitProblem(A, b, p=p, theta=theta)
-                    got = outcome(GreedyPath(state, p).solve, problem)
+                    got = outcome(path_solve, GreedyPath(state, p), problem)
                     want = outcome(reference_greedy_solve, problem)
                     if isinstance(want, Infeasible):
                         assert isinstance(got, Infeasible)
                         assert bits(got.full_support_error) == bits(want.full_support_error)
                     else:
-                        assert solution_bits(got) == solution_bits(want)
+                        assert run_bits(got) == run_bits(want)
 
     @settings(max_examples=200, deadline=None)
     @given(nonnegative_rows(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0, 150.0]))
     def test_block_norm_is_pnorm_bit_for_bit(self, rows, p):
-        want = np.array([pnorm(row, p) for row in rows])
-        assert bits(_row_norms(rows.copy(), p)) == bits(want)
+        want = bits([scalar_pnorm(row, p) for row in rows])
+        assert bits(_row_norms(rows.copy(), p)) == want
+        assert bits([pnorm(row, p) for row in rows]) == want
 
     @settings(max_examples=200, deadline=None)
     @given(nonnegative_rows(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0, 150.0, math.inf]), st.data())
