@@ -27,11 +27,15 @@ in log-domain.
 The state stores the singleton errors column-major, so each candidate
 column is contiguous.  Each greedy pick (GreedyState.select_best) is the
 exact argmin over the free columns, but it evaluates few norms in full.
-Two lower bounds on each candidate's norm rule columns out first: its
-max entry, which min and max compute without rounding, and a p-th-power
-sum over the 64 rows with the largest error, shrunk by a bound on its
-rounding.  The norms that remain are evaluated in batches, bit for bit
-as pnorm evaluates one.  No pick builds an m×n array.
+Three lower bounds on each candidate's norm rule columns out first: its
+max entry, which min and max compute without rounding; a p-th-power sum
+over the 64 rows with the largest error; and, for finite p, the run's
+stale gain, the column's drop at an earlier prefix, which supermodularity
+makes an upper bound on its drop now (Minoux's accelerated greedy).  The
+last two are shrunk by a bound on their rounding.  The norms that remain
+are evaluated in batches, bit for bit as pnorm evaluates one.  A run
+carries its stale gains and its seed rows' block of e0 from one pick to
+the next, at most 64×n + n floats; no pick builds an m×n array.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ SMMAE = "smmae"
 
 _CHUNK = 64  # rows per bound chunk of select_best, and columns per full-bound chunk
 _FIRST_BLOCK, _LAST_BLOCK = 16, 128  # exact-norm block sizes: doubling, then capped
+_SUBNORMAL_ULP = 2.0**-1074  # the spacing of floats below 2^-1022
 
 
 class Infeasible(Exception):
@@ -149,6 +154,117 @@ def _norm_floors(rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
     scaled = _power_terms(part, top, p)
     sums = part.sum(axis=1) * (1.0 - (rows.shape[1] + cols.size) * 2.0**-48)
     return np.maximum(top, np.where(scaled, top, 0.0) * sums ** (1.0 / p) * (1.0 - 2.0**-45))
+
+
+class _PickMemo:
+    """What one greedy run's picks learn for its next picks; at most 64×n + n floats.
+
+    A memo belongs to one run on one GreedyState at one norm order: between
+    two calls the support only grows, so cur_error only falls.
+
+    * The seed block.  ``block`` holds the singleton errors e0[rows, :] of
+      the last pick's 64 seed rows, one C-contiguous row per seed row, so a
+      pick gathers from e0 only the rows new to its seed.  The entries are
+      copies of e0, so the bounds read from them do not change.
+    * Stale gains (finite p).  In units of the run's ``scale`` S, the max
+      error at the first pick where it is finite and positive, E(T) =
+      sum_i (cur_i/S)^p, and column j's drop at prefix T is
+      g_j(T) = E(T) − (||c_j(T)||/S)^p = sum_i max(cur_i^p − e0_ij^p, 0)/S^p.
+      Each row's term only shrinks as cur_i falls, so g_j(T) >= g_j(T') for
+      every later prefix T' and every p > 0, and
+      ||c_j(T')|| >= S (E(T') − g_j(T))^(1/p).  ``gains`` holds, for each
+      column whose exact norm was evaluated, an upper bound on its drop
+      at that evaluation, and +inf for the others.
+
+    The rounding argument (u = 2^-53; every power, numpy's or the root's,
+    is taken as accurate to 16 ulps, 2^-48 relative, well above what libm's
+    pow and numpy's vectorized power are accurate to): each term
+    fl(fl(x/S)^p) is within (1 + u)^p (1 + 2^-48) − 1 <= 2pu + 2^-48 of
+    (x/S)^p, or within beta_t = 2^(1−1022p) + 2^-1072 where the quotient or
+    the power falls below the normal range; a sum of m non-negative terms
+    adds 2mu relative in any order.  pnorm's sum has the same error and is
+    at least 1, so its norm is within (1 + k1)^(1/p) (1 + 2^-48) (1 + u) of
+    the real one, k1 = 2(p + m)u + 2^-48 + m beta_t, and raising it to the
+    p-th power costs another p (2^-48 + u).  A norm below 2^-1022 is also
+    off by up to half the subnormal spacing 2^-1074, and so is a floor.
+    ``margin`` = (4p + m + 64) 2^-48 + 2m beta_t covers the relative errors
+    with room for the few roundings of the bound's own evaluation, and
+    ``slack`` = (m + 2) beta_t the underflowed terms.  So a gain is
+    recorded as E(T) (1 + margin) + slack − ((N − 2^-1074)/S)^p (1 − margin),
+    which is at least the real drop, and the floor is
+    S (E(T') (1 − margin) − slack − g)^(1/p) (1 − margin)^(1/p) (1 − 2^-46)
+    − 2^-1074, evaluated with S last, which is at most the norm pnorm gives
+    at T'.  No gain is recorded and no floor taken for p = inf, where E is
+    not finite, and where ``margin`` is not below 2^-10, so that these
+    first-order bounds hold: p of 2^36 or more, or p below about 0.03 at
+    m = 1000.
+    """
+
+    def __init__(self, p: float, n: int):
+        self.p, self.n = p, n
+        self.rows = np.empty(0, dtype=np.intp)
+        self.block = np.empty((0, n))
+        self.gains: np.ndarray | None = None  # set with the scale
+        self.scale = self.margin = self.slack = self.shrink = 0.0
+
+    def seed_bounds(self, e0: np.ndarray, seed: np.ndarray, cur_error: np.ndarray) -> np.ndarray:
+        """Max of min(cur_error, e({j})) over the ``seed`` rows, for every column j."""
+        if self.rows.size != seed.size:
+            self.rows = np.sort(seed)
+            self.block = np.ascontiguousarray(e0[self.rows])
+        else:
+            incoming = np.zeros(e0.shape[0], dtype=bool)
+            incoming[seed] = True
+            slots = np.flatnonzero(~incoming[self.rows])  # rows that left the seed
+            if slots.size:
+                incoming[self.rows] = False
+                self.rows[slots] = np.flatnonzero(incoming)
+                self.block[slots] = e0[self.rows[slots]]
+        return np.minimum(self.block, cur_error[self.rows][:, np.newaxis]).max(axis=0)
+
+    def power(self, cur_error: np.ndarray) -> float:
+        """E(T) in units of the run's scale, or NaN where no gain can be used."""
+        p = self.p
+        if self.gains is None:
+            top = float(cur_error.max())
+            if math.isinf(p) or not 0.0 < top < math.inf:
+                return math.nan
+            m = cur_error.size
+            tiny = 2.0 ** (1.0 - 1022.0 * p) + 2.0**-1072
+            self.margin = (4.0 * p + m + 64.0) * 2.0**-48 + 2.0 * m * tiny
+            if not self.margin < 2.0**-10:
+                return math.nan
+            self.scale, self.slack = top, (m + 2.0) * tiny
+            self.shrink = (1.0 - self.margin) ** (1.0 / p) * (1.0 - 2.0**-46)
+            self.gains = np.full(self.n, math.inf)
+        terms = cur_error / self.scale
+        terms **= p
+        return float(terms.sum())
+
+    def floors(self, power: float) -> np.ndarray | None:
+        """Every column's stale-gain floor on its norm (0 where none is known), or None."""
+        if not math.isfinite(power):
+            return None
+        rest = np.subtract(power * (1.0 - self.margin) - self.slack, self.gains)
+        np.maximum(rest, 0.0, out=rest)
+        rest **= 1.0 / self.p
+        rest *= self.shrink
+        rest *= self.scale
+        rest -= _SUBNORMAL_ULP
+        np.maximum(rest, 0.0, out=rest)
+        rest[~np.isfinite(rest)] = 0.0
+        return rest
+
+    def learn(self, cols, norms: np.ndarray, power: float) -> None:
+        """Record the drops of ``cols``, whose exact norms at this prefix are ``norms``."""
+        if not math.isfinite(power):
+            return
+        lost = np.maximum(norms - _SUBNORMAL_ULP, 0.0)
+        lost /= self.scale
+        lost **= self.p
+        gains = power * (1.0 + self.margin) + self.slack - lost * (1.0 - self.margin)
+        gains[~np.isfinite(gains)] = math.inf
+        self.gains[cols] = gains
 
 
 def _theta_norm(v, p: float) -> float:
@@ -304,11 +420,13 @@ class GreedyState:
     def full_support_norm(self, p: float) -> float:
         return _theta_norm(self.e0.min(axis=1), p)
 
-    def select_best(self, cur_error: np.ndarray, in_support: np.ndarray, p: float) -> int:
+    def select_best(
+        self, cur_error: np.ndarray, in_support: np.ndarray, p: float, memo: _PickMemo | None = None
+    ) -> int:
         """Argmin over columns outside ``in_support`` of the error after adding
         each to a support whose error is ``cur_error``; lowest index on ties.
 
-        Column j's candidate error is c_j = min(cur_error, e({j})).  Two
+        Column j's candidate error is c_j = min(cur_error, e({j})).  Three
         lower bounds on its norm let the scan evaluate few norms in full:
 
         * The max bound.  The max of c_j over any set of rows is at most
@@ -320,37 +438,59 @@ class GreedyState:
           norm's, bit for bit, so it sits below the norm up to the rounding
           of two sums and two roots; _norm_floors shrinks it by a bound on
           that rounding.
+        * The stale-gain bound.  For finite p, the p-th-power error is
+          supermodular, so a column's drop E(T) − ||c_j(T)||^p, recorded
+          when its exact norm was evaluated at an earlier prefix T of the
+          same run, bounds its drop now from above (Minoux's accelerated
+          greedy).  _PickMemo keeps the drops and shrinks the bound by a
+          bound on its rounding.
 
         A column is dropped only when a bound is strictly above a norm that
-        has been evaluated, so it can neither win nor tie.  The scan runs
-        in three steps:
+        has been evaluated, so it can neither win nor tie, and the pick is
+        the eager scan's whatever the memo holds.  The scan runs in three
+        steps:
 
         * Seed.  The max bound over the 64 rows with the largest current
-          error picks one column, whose exact norm t is evaluated.  Only a
-          row with cur_error > t can push a bound above t, so those hot
-          rows are swept in 64-row chunks, and each drops every column
+          error picks one column, whose exact norm t is evaluated.  The
+          stale-gain bound drops every column whose bound exceeds t.  Only
+          a row with cur_error > t can push a max bound above t, so those
+          hot rows are swept in 64-row chunks, and each drops every column
           whose bound exceeds t.
-        * Survivors.  Their full max bounds, raised by the power-sum bound,
-          come from their contiguous columns, 64 at a time.  For p = inf
-          the full max is the norm, and the scan ends here.
+        * Survivors.  Their full max bounds, raised by the power-sum and
+          the stale-gain bounds, come from their contiguous columns, 64 at
+          a time.  For p = inf the full max is the norm, and the scan ends
+          here.
         * Blocks.  Exact norms are evaluated in ascending-bound blocks of
           16, 32, 64 and then 128 columns, and the scan stops at a block
           whose smallest bound is above the best norm.
 
-        No m×n array is built: the largest transient is n×64 or 128×m.
+        ``memo`` carries the seed rows' block of e0 and the stale gains
+        from one pick of a run to the next (GreedyPath keeps one per run),
+        so a pick gathers only the seed rows that are new.  Without one,
+        the pick starts from a fresh memo, which knows no gain.  No m×n
+        array is built: the largest transient is 64×n or 128×m, and a memo
+        holds at most 64×n + n floats.
         """
+        if memo is None:
+            memo = _PickMemo(p, self.n)
+        elif (memo.p, memo.n) != (p, self.n):
+            raise ValueError(f"memo of a run at norm order {memo.p} on {memo.n} columns, asked for {p} on {self.n}")
         columns = self.e0.T  # n×m, C-contiguous: one row per candidate column
         order = np.argsort(-cur_error, kind="stable")
-        seed = np.sort(order[:_CHUNK])
-        part = columns[:, seed]
-        np.minimum(part, cur_error[seed], out=part)
-        bound = part.max(axis=1)
-        del part
+        bound = memo.seed_bounds(self.e0, order[:_CHUNK], cur_error)
+        seed = np.sort(memo.rows)
+        power = memo.power(cur_error)
         free = np.flatnonzero(~in_support)
         s = int(free[np.argmin(bound[free])])
-        t = float(_row_norms(_candidates(columns, [s], cur_error), p)[0])
+        norms = _row_norms(_candidates(columns, [s], cur_error), p)
+        memo.learn([s], norms, power)
+        t = float(norms[0])
 
-        alive = free[bound[free] <= t]
+        keep = bound[free] <= t
+        stale = memo.floors(power)
+        if stale is not None:
+            keep &= ~(stale[free] > t)
+        alive = free[keep]
         hot = order[_CHUNK : np.count_nonzero(cur_error > t)]
         for start in range(0, hot.size, _CHUNK):
             rows = np.sort(hot[start : start + _CHUNK])
@@ -364,6 +504,8 @@ class GreedyState:
             floor[start : start + _CHUNK] = _norm_floors(_candidates(columns, chunk, cur_error), seed, p)
         if math.isinf(p):
             return int(alive[np.argmin(floor)])  # alive is ascending
+        if stale is not None:
+            np.maximum(floor, stale[alive], out=floor)
 
         by_floor = np.argsort(floor, kind="stable")
         alive, floor = alive[by_floor], floor[by_floor]
@@ -372,6 +514,7 @@ class GreedyState:
         while start < alive.size and floor[start] <= best:
             cols = alive[start : start + size]
             norms = _row_norms(_candidates(columns, cols, cur_error), p)
+            memo.learn(cols, norms, power)
             low = norms.min()
             j = int(cols[norms == low].min())
             if low < best or (low == best and j < best_j):
@@ -430,13 +573,15 @@ class GreedyPath:
     """One greedy run on an instance at norm order ``p``, serving every budget.
 
     The run owns its progress: the error vector of the support picked so
-    far, the picks, and each prefix's error; the instance is the shared,
-    read-only ``state``.  The greedy's pick never depends on the budget,
-    which only decides when to stop, so the support at a budget is the
-    shortest prefix of the run whose error meets it.  The run advances only
-    as far as the tightest budget asked so far; budgets may come in any
-    order, and each answer equals an independent solve at that budget.  For
-    p = inf the variant is a comparison heuristic with no guarantee.
+    far, the picks, each prefix's error, and the memo its picks pass on to
+    the next (stale gains and the seed block, see _PickMemo); the instance
+    is the shared, read-only ``state``.  The greedy's pick never depends on
+    the budget, which only decides when to stop, so the support at a budget
+    is the shortest prefix of the run whose error meets it.  The run
+    advances only as far as the tightest budget asked so far; budgets may
+    come in any order, and each answer equals an independent solve at that
+    budget.  For p = inf the variant is a comparison heuristic with no
+    guarantee.
 
     The run is its own record: ``selected`` holds the picks in order, and
     ``errors`` the theta-domain error of each prefix, E(empty), E(T_1),
@@ -458,6 +603,7 @@ class GreedyPath:
         self.cur_error = state.error_vector_of([])
         self.selected: list[int] = []
         self._in_support = np.zeros(state.n, dtype=bool)
+        self._memo = _PickMemo(p, state.n)
         self.errors = [_theta_norm(self.cur_error, p)]
 
     def solve(self, problem: FitProblem) -> SparseSolution:
@@ -473,7 +619,7 @@ class GreedyPath:
         while self.errors[k] > budget and k < state.n:
             k += 1
             if k == len(self.errors):
-                j = state.select_best(self.cur_error, self._in_support, p)
+                j = state.select_best(self.cur_error, self._in_support, p, self._memo)
                 self.cur_error = np.minimum(self.cur_error, state.e0[:, j])
                 self.selected.append(j)
                 self._in_support[j] = True

@@ -103,7 +103,9 @@ def principal_solution(A, b) -> np.ndarray:
 
     xhat_j = min_i (b_i - A_ij), i.e. (-A)^T (min-plus) b, for finite ``b`` and
     A in R ∪ {-inf}.  An all-(-inf) column gets +inf, clamped to -inf to keep
-    xhat in R ∪ {-inf}.
+    xhat in R ∪ {-inf}.  A finite b_i - A_ij that overflows raises
+    ValueError: its -inf would wrongly mark a column with finite entries
+    as unusable.
     """
     A = as_matrix(A)
     b = as_vector(b)
@@ -113,7 +115,12 @@ def principal_solution(A, b) -> np.ndarray:
         raise ValueError("right-hand side must be finite for the principal solution")
     if np.isposinf(A).any():
         raise ValueError("matrix entries must lie in R ∪ {-inf}")
-    xhat = (b[:, np.newaxis] - A).min(axis=0)
+    try:
+        with np.errstate(over="raise"):
+            residuals = b[:, np.newaxis] - A
+    except FloatingPointError:
+        raise ValueError("b_i - A_ij overflows a float for some finite entries; rescale A and b") from None
+    xhat = residuals.min(axis=0)
     xhat[np.isposinf(xhat)] = -np.inf
     return xhat
 

@@ -99,6 +99,17 @@ class TestSolve:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_residual_is_an_error_line(self, tmp_path, capsys):
+        # b_0 - A_00 = -2e308 is not a float, though every entry is finite
+        a = tmp_path / "A.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("1e308,0\n1e308,-1\n")
+        b.write_text("-1e308\n-1e308\n")
+        rc = main(["solve", str(a), str(b), "--p", "2", "--theta", "1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["solve", "nope.csv", "also-nope.csv", "--p", "1", "--theta", "1", "--out", str(tmp_path)])
         assert rc == 1

@@ -16,6 +16,7 @@ from tropfit.solver import (
     _certificate_from,
     _finalize,
     _norm_floors,
+    _PickMemo,
     _row_norms,
     brute_force_oracle,
     greedy_sparse_solve,
@@ -646,11 +647,20 @@ def edge_instances(draw, max_side=12):
 
 
 def assert_build_equals_semiring_reference(A, b):
+    try:
+        with np.errstate(over="raise"):
+            xhat = minplus_product((-A).T, b)
+    except FloatingPointError:
+        # a finite b_i - A_ij overflows: both builds refuse the instance
+        for build in (principal_solution, GreedyState):
+            with pytest.raises(ValueError, match="overflows"):
+                build(A, b)
+        return
+    xhat[np.isposinf(xhat)] = -np.inf
+    got = principal_solution(A, b)
+    # A_ij + xhat_j itself may still overflow to -inf, which both sides saturate alike
     with np.errstate(over="ignore"):
-        xhat = minplus_product((-A).T, b)
-        xhat[np.isposinf(xhat)] = -np.inf
         e0 = np.maximum(b[:, np.newaxis] - maxplus_add(A, xhat[np.newaxis, :]), 0)
-        got = principal_solution(A, b)
         state = GreedyState(A, b)
     assert got.tobytes() == xhat.tobytes()
     assert state.xhat.tobytes() == xhat.tobytes()
@@ -721,6 +731,21 @@ def nonnegative_rows(draw):
     return rows
 
 
+@st.composite
+def stale_gain_runs(draw):
+    """Singleton errors with subnormal, 1e300 and +inf entries and all-zero rows,
+    and the picks of a run on them; a repeated pick keeps the prefix as it is."""
+    m, n = draw(st.integers(1, 150)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = rng.random((m, n)) ** draw(st.sampled_from([1.0, 8.0, 60.0]))
+    E *= draw(st.sampled_from([1.0, 1e-300, 1e-310, 1e300]))
+    specials = draw(st.lists(st.sampled_from([0.0, np.inf, 1e300, 5e-324, 2.2250738585072014e-308]), min_size=1))
+    mask = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    E[mask] = rng.choice(specials, size=int(mask.sum()))
+    E[rng.random(m) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    return E, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+
+
 def scalar_pnorm(v, p):
     """pnorm as a formula on one vector: the reference its batched form must equal bit for bit."""
     a = np.abs(np.asarray(v, dtype=np.float64))
@@ -744,7 +769,7 @@ class TestSelectBest:
         state = GreedyState(A, b)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
-            for p in (1.0, 2.0, 5.0, 150.0, math.inf):
+            for p in (0.5, 1.0, 2.0, 5.0, 150.0, math.inf):
                 full = state.full_support_norm(p)
                 budgets = [full]
                 if math.isfinite(full):
@@ -782,6 +807,25 @@ class TestSelectBest:
         assert (floors <= exact).all()
         assert (floors >= rows.max(axis=1)).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(stale_gain_runs(), st.sampled_from([0.5, 1.0, 2.0, 5.0, 150.0]), st.data())
+    def test_stale_gain_floor_never_exceeds_a_later_norm(self, run, p, data):
+        E, picks = run
+        n = E.shape[1]
+        memo = _PickMemo(p, n)
+        cur_error = E.max(axis=1)
+        for j in [None, *picks]:
+            if j is not None:
+                cur_error = np.minimum(cur_error, E[:, j])
+            # every column's norm at this prefix, as select_best evaluates it
+            exact = _row_norms(np.ascontiguousarray(np.minimum(E, cur_error[:, np.newaxis]).T), p)
+            power = memo.power(cur_error)
+            floors = memo.floors(power)
+            if floors is not None:
+                assert (floors >= 0.0).all() and (floors <= exact).all()
+            learnt = np.flatnonzero(data.draw(arrays(np.bool_, n)))
+            memo.learn(learnt, exact[learnt], power)
+
     @pytest.mark.parametrize("case", ["hot row", "block start"])
     def test_a_tie_at_the_bound_is_kept(self, case):
         # with b = 0 and a zero in every column, e({j}) is column j of E
@@ -818,16 +862,23 @@ class TestSelectBest:
         for p in (1.0, 2.0, 150.0, math.inf):
             cur_error = state.error_vector_of([])
             in_support = np.zeros(state.n, dtype=bool)
+            memo = _PickMemo(p, state.n)
             peaks = []
             tracemalloc.start()
             try:
                 for _ in range(8):
                     tracemalloc.reset_peak()
                     base = tracemalloc.get_traced_memory()[0]
-                    j = state.select_best(cur_error, in_support, p)
+                    j = state.select_best(cur_error, in_support, p, memo)
                     peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                    assert j == state.select_best(cur_error, in_support, p)  # a fresh memo picks the same
                     cur_error = np.minimum(cur_error, state.e0[:, j])
                     in_support[j] = True
             finally:
                 tracemalloc.stop()
             assert max(peaks) <= A.nbytes / 2, (p, max(peaks) / A.nbytes)
+            # what the run keeps between picks: the seed block, the gains and 64 row indices
+            kept = [v for v in vars(memo).values() if isinstance(v, np.ndarray)]
+            assert sum(v.size for v in kept if v.dtype == np.float64) <= (64 + 1) * state.n
+            assert sum(v.size for v in kept if v.dtype != np.float64) <= 64
+            assert memo.block.flags.c_contiguous

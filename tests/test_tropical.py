@@ -121,6 +121,14 @@ class TestPrincipalSolution:
         with pytest.raises(ValueError):
             principal_solution(A_REF, np.array([1.0, np.inf, 0.0]))
 
+    def test_rejects_an_overflowing_residual(self):
+        # b_0 - A_00 = -2e308 overflows; column 0 is finite, so its -inf would be wrong
+        with pytest.raises(ValueError, match="overflows"):
+            principal_solution(np.array([[1e308, 0.0], [1e308, -1.0]]), np.array([-1e308, -1e308]))
+        # b - (-inf) = +inf is the bottom column's, not an overflow
+        xhat = principal_solution(np.array([[NEG, 0.0]]), np.array([1e308]))
+        assert xhat.tolist() == [NEG, 1e308]
+
     def test_rejects_top_in_matrix(self):
         with pytest.raises(ValueError):
             principal_solution(np.array([[np.inf]]), np.array([1.0]))
