@@ -32,8 +32,10 @@ max entry, which min and max compute without rounding; a p-th-power sum
 over the 64 rows with the largest error; and, for finite p, the run's
 stale gain, the column's drop at an earlier prefix, which supermodularity
 makes an upper bound on its drop now (Minoux's accelerated greedy).  The
-last two are shrunk by a bound on their rounding.  The norms that remain
-are evaluated in batches, bit for bit as pnorm evaluates one.  A run
+last two are shrunk by a bound on their rounding.  The pick is one pass
+over blocks of columns in ascending order of a cheap bound, which stops at
+a block whose first bound is above the best norm; a block's norms are
+evaluated in a batch, bit for bit as pnorm evaluates one.  A run
 carries its stale gains and its seed rows' block of e0 from one pick to
 the next, at most 64×n + n floats; no pick builds an m×n array.
 """
@@ -74,7 +76,7 @@ SGLE = "sgle"
 SMMAE = "smmae"
 
 
-_CHUNK = 64  # rows per bound chunk of select_best, and columns per full-bound chunk
+_CHUNK = 64  # seed rows: the largest-error rows that select_best's cheap bounds read
 _FIRST_BLOCK, _LAST_BLOCK = 16, 128  # exact-norm block sizes: doubling, then capped
 _SUBNORMAL_ULP = 2.0**-1074  # the spacing of floats below 2^-1022
 
@@ -396,8 +398,18 @@ class GreedyState:
         # contiguous; rounding can push a contribution a hair above b, and
         # the error vector is non-negative, so clamp
         columns = np.empty((self.n, self.m))
-        np.add(A.T, self.xhat[:, np.newaxis], out=columns)
-        np.subtract(b, columns, out=columns)
+        with np.errstate(over="ignore"):  # an error above the largest float is +inf
+            try:
+                with np.errstate(over="raise"):
+                    np.add(A.T, self.xhat[:, np.newaxis], out=columns)
+                np.subtract(b, columns, out=columns)
+            except FloatingPointError:
+                # A_ij + xhat_j ran below -max for finite terms; those entries take
+                # the order (b_i - A_ij) - xhat_j, whose first step cannot overflow
+                np.add(A.T, self.xhat[:, np.newaxis], out=columns)
+                j, i = np.nonzero(np.isneginf(columns) & np.isfinite(A.T) & np.isfinite(self.xhat)[:, np.newaxis])
+                np.subtract(b, columns, out=columns)
+                columns[j, i] = (b[i] - A[i, j]) - self.xhat[j]
         np.maximum(columns, 0.0, out=columns)
         columns.flags.writeable = False
         self.e0 = columns.T
@@ -447,22 +459,18 @@ class GreedyState:
 
         A column is dropped only when a bound is strictly above a norm that
         has been evaluated, so it can neither win nor tie, and the pick is
-        the eager scan's whatever the memo holds.  The scan runs in three
-        steps:
-
-        * Seed.  The max bound over the 64 rows with the largest current
-          error picks one column, whose exact norm t is evaluated.  The
-          stale-gain bound drops every column whose bound exceeds t.  Only
-          a row with cur_error > t can push a max bound above t, so those
-          hot rows are swept in 64-row chunks, and each drops every column
-          whose bound exceeds t.
-        * Survivors.  Their full max bounds, raised by the power-sum and
-          the stale-gain bounds, come from their contiguous columns, 64 at
-          a time.  For p = inf the full max is the norm, and the scan ends
-          here.
-        * Blocks.  Exact norms are evaluated in ascending-bound blocks of
-          16, 32, 64 and then 128 columns, and the scan stops at a block
-          whose smallest bound is above the best norm.
+        the eager scan's whatever the memo holds.  The scan is one pass, as
+        in Minoux's accelerated greedy and CELF's lazy evaluation (Leskovec
+        et al. 2007).  The free columns are sorted, stably, by a cheap bound:
+        the larger of the max bound over the 64 rows with the largest error
+        and the stale-gain bound.  They are visited in blocks of 16, 32, 64
+        and then 128, and the scan stops at a block whose first bound is
+        above the best norm found.  Each block's candidate errors are
+        gathered once; once a finite norm is known, the block's full max,
+        power-sum and stale-gain bounds drop what they can before the exact
+        norms of the rest are evaluated.  The best starts at +inf with
+        column n, which loses every tie, so a block of +inf norms still
+        picks its lowest index.  p = inf runs the same pass.
 
         ``memo`` carries the seed rows' block of e0 and the stale gains
         from one pick of a run to the next (GreedyPath keeps one per run),
@@ -480,45 +488,30 @@ class GreedyState:
         bound = memo.seed_bounds(self.e0, order[:_CHUNK], cur_error)
         seed = np.sort(memo.rows)
         power = memo.power(cur_error)
-        free = np.flatnonzero(~in_support)
-        s = int(free[np.argmin(bound[free])])
-        norms = _row_norms(_candidates(columns, [s], cur_error), p)
-        memo.learn([s], norms, power)
-        t = float(norms[0])
-
-        keep = bound[free] <= t
         stale = memo.floors(power)
+        free = np.flatnonzero(~in_support)
+        bound = bound[free]
         if stale is not None:
-            keep &= ~(stale[free] > t)
-        alive = free[keep]
-        hot = order[_CHUNK : np.count_nonzero(cur_error > t)]
-        for start in range(0, hot.size, _CHUNK):
-            rows = np.sort(hot[start : start + _CHUNK])
-            part = columns[alive[:, np.newaxis], rows]
-            np.minimum(part, cur_error[rows], out=part)
-            alive = alive[part.max(axis=1) <= t]
+            np.maximum(bound, stale[free], out=bound)
+        by_bound = np.argsort(bound, kind="stable")
+        free, bound = free[by_bound], bound[by_bound]
 
-        floor = np.empty(alive.size)
-        for start in range(0, alive.size, _CHUNK):
-            chunk = alive[start : start + _CHUNK]
-            floor[start : start + _CHUNK] = _norm_floors(_candidates(columns, chunk, cur_error), seed, p)
-        if math.isinf(p):
-            return int(alive[np.argmin(floor)])  # alive is ascending
-        if stale is not None:
-            np.maximum(floor, stale[alive], out=floor)
-
-        by_floor = np.argsort(floor, kind="stable")
-        alive, floor = alive[by_floor], floor[by_floor]
-        best, best_j = t, s
+        best, best_j = math.inf, self.n
         start, size = 0, _FIRST_BLOCK
-        while start < alive.size and floor[start] <= best:
-            cols = alive[start : start + size]
-            norms = _row_norms(_candidates(columns, cols, cur_error), p)
-            memo.learn(cols, norms, power)
-            low = norms.min()
-            j = int(cols[norms == low].min())
-            if low < best or (low == best and j < best_j):
-                best, best_j = low, j
+        while start < free.size and bound[start] <= best:
+            cols = free[start : start + size]
+            cand = _candidates(columns, cols, cur_error)
+            if best < math.inf:
+                # the seed rows' max is at most the full max, so this adds the stale floor
+                keep = np.maximum(_norm_floors(cand, seed, p), bound[start : start + size]) <= best
+                cols, cand = cols[keep], cand[keep]
+            if cols.size:
+                norms = _row_norms(cand, p)
+                memo.learn(cols, norms, power)
+                low = norms.min()
+                j = int(cols[norms == low].min())
+                if low < best or (low == best and j < best_j):
+                    best, best_j = low, j
             start += size
             size = min(2 * size, _LAST_BLOCK)
         return best_j

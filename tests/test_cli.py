@@ -110,6 +110,19 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    def test_an_add_that_overflows_in_the_build_still_solves(self, tmp_path):
+        # xhat = [-1e308], so A_00 + xhat_0 overflows where e0_00 = 1e308
+        a = tmp_path / "A.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("-1e308\n1e308\n")
+        b.write_text("-1e308\n0\n")
+        out = tmp_path / "out"
+        rc = main(["solve", str(a), str(b), "--p", "1", "--theta", "1e308", "--out", str(out)])
+        assert rc == 0
+        report = parse_report((out / "report.json").read_text())
+        assert report["infeasible"] is False
+        assert report["error_p"] == 1e308
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["solve", "nope.csv", "also-nope.csv", "--p", "1", "--theta", "1", "--out", str(tmp_path)])
         assert rc == 1

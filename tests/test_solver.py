@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -658,13 +660,25 @@ def assert_build_equals_semiring_reference(A, b):
         return
     xhat[np.isposinf(xhat)] = -np.inf
     got = principal_solution(A, b)
-    # A_ij + xhat_j itself may still overflow to -inf, which both sides saturate alike
     with np.errstate(over="ignore"):
-        e0 = np.maximum(b[:, np.newaxis] - maxplus_add(A, xhat[np.newaxis, :]), 0)
-        state = GreedyState(A, b)
+        summed = maxplus_add(A, xhat[np.newaxis, :])
+        e0 = np.maximum(b[:, np.newaxis] - summed, 0)
+    # where A_ij + xhat_j of two finite terms overflows, the build takes
+    # (b_i - A_ij) - xhat_j instead; every other entry is the reference's
+    overflowed = np.isneginf(summed) & np.isfinite(A) & np.isfinite(xhat)[np.newaxis, :]
+    state = GreedyState(A, b)
     assert got.tobytes() == xhat.tobytes()
     assert state.xhat.tobytes() == xhat.tobytes()
-    assert state.e0.tobytes() == e0.tobytes()
+    assert state.e0[~overflowed].tobytes() == e0[~overflowed].tobytes()
+    for i, j in zip(*np.nonzero(overflowed)):
+        exact = Fraction(b[i]) - Fraction(A[i, j]) - Fraction(xhat[j])
+        err = state.e0[i, j]
+        if math.isinf(err):
+            # the rounding of b_i - A_ij can at most bring the exact value down to max
+            assert exact >= Fraction(sys.float_info.max)
+        else:
+            # two roundings: b_i - A_ij, then the subtraction of xhat_j
+            assert abs(Fraction(err) - exact) <= Fraction(2.0**-53) * (abs(Fraction(b[i]) - Fraction(A[i, j])) + Fraction(err))
     assert np.isneginf(state.xhat[np.isneginf(A).all(axis=0)]).all()  # bottom columns are clamped
 
 
@@ -681,6 +695,14 @@ class TestInstanceBuild:
         A = rng.choice([0.0, -0.0, -np.inf], size=(300, 400))
         A[:, 7] = -np.inf
         assert_build_equals_semiring_reference(A, rng.choice([0.0, -0.0], size=300))
+
+    def test_an_add_that_overflows_keeps_the_error(self):
+        # xhat = [-1e308], and A_00 + xhat_0 overflows where e0_00 = 1e308
+        A, b = np.array([[-1e308], [1e308]]), np.array([-1e308, 0.0])
+        assert_build_equals_semiring_reference(A, b)
+        state = GreedyState(A, b)
+        assert state.e0.tolist() == [[1e308], [0.0]]
+        assert greedy_sparse_solve(FitProblem(A, b, p=1.0, theta=1e308)).error_p == 1e308
 
     def test_build_peak_is_one_matrix(self):
         rng = np.random.default_rng(0)
@@ -826,17 +848,19 @@ class TestSelectBest:
             learnt = np.flatnonzero(data.draw(arrays(np.bool_, n)))
             memo.learn(learnt, exact[learnt], power)
 
-    @pytest.mark.parametrize("case", ["hot row", "block start"])
+    @pytest.mark.parametrize("case", ["max outside the seed rows", "block start", "every norm infinite"])
     def test_a_tie_at_the_bound_is_kept(self, case):
         # with b = 0 and a zero in every column, e({j}) is column j of E
-        if case == "hot row":
-            # 70 rows above t, so rows 64-69 are a hot chunk; columns 0 and 1
-            # tie at t = 5 with their max there, and the seed picks column 1
+        want = 0
+        if case == "max outside the seed rows":
+            # 70 rows above the tie, so rows 64-69 lie outside the seed;
+            # columns 0 and 1 tie at 5 with their max there, and column 1
+            # has the lower seed bound
             E = np.zeros((72, 3))
             E[:70, 2], E[:64, 0], E[:64, 1] = 10.0, 3.0, 1.0
             E[64, 0] = E[65, 1] = 5.0
             p = math.inf
-        else:
+        elif case == "block start":
             # at p = 1 all 17 columns tie at 6; columns 1-16 (3 + 3, bound
             # below 6) fill the first block, so column 0 (bound 6) starts the next
             E = np.zeros((34, 17))
@@ -844,11 +868,18 @@ class TestSelectBest:
             for j in range(1, 17):
                 E[2 * j - 1 : 2 * j + 1, j] = 3.0
             p = 1.0
+        else:
+            # row 0 is covered by no column, so all 60 norms are +inf and the
+            # scan runs through blocks of 16, 32 and 12 with nothing below the best
+            E = np.random.default_rng(5).random((70, 60))
+            E[0], E[1] = np.inf, 0.0
+            p, want = 2.0, 1
         state = GreedyState(-E, np.zeros(E.shape[0]))
         assert state.e0.tobytes() == E.tobytes()
         in_support = np.zeros(E.shape[1], dtype=bool)
-        cur_error = state.error_vector_of([])
-        assert state.select_best(cur_error, in_support, p) == 0
+        in_support[:want] = True
+        cur_error = state.error_vector_of(np.flatnonzero(in_support))
+        assert state.select_best(cur_error, in_support, p) == want
         for q in (1.0, 2.0, 150.0, math.inf):
             assert state.select_best(cur_error, in_support, q) == eager_best_column(state, cur_error, in_support, q)
 
