@@ -183,7 +183,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _scored(model: PwlModel | Infeasible) -> tuple[PwlModel, Score]:
-    """A fitted model with its score; an Infeasible from fit_path is raised."""
+    """A fitted model with its score; an Infeasible from fit_path is raised.
+
+    A model with every region pruned scores NaN errors for the console;
+    tables write the model's own None errors, as empty cells."""
     if isinstance(model, Infeasible):
         raise model
     if model.support_size == 0:
@@ -214,7 +217,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _write_table(
         out / "fit.csv",
         ["p", "theta", "rms", "max_abs", "support"],
-        [[problem.p, problem.budget, s.rms, s.max_abs, s.support]],
+        [[problem.p, problem.budget, model.rms, model.max_abs, s.support]],
         config,
     )
     print(f"regions {s.support}  rms {s.rms:.6g}  max_abs {s.max_abs:.6g}")
@@ -250,13 +253,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = [(p, val) for p in ps for val in budgets]
     problems = [FitProblem(None, None, p=p, estimator=args.estimator, **{kind: val}) for p, val in cells]
     p_label, label = _labeler(ps), _labeler(budgets)
-    rows = []
+    rows, lines = [], []
     for (p, val), model in zip(cells, fit_path(data, slopes, problems, args.seed)):
+        where = f"p={p_label(p)} budget={label(val)}  "
         if isinstance(model, Infeasible):
             rows.append([p, val, None, None, None, True])
+            lines.append(where + "infeasible")
             continue
         _, s = _scored(model)
-        rows.append([p, val, s.rms, s.max_abs, s.support, False])
+        rows.append([p, val, model.rms, model.max_abs, s.support, False])
+        lines.append(where + f"rms={s.rms:.4f} max_abs={s.max_abs:.4f} supp={s.support}")
         tag = f"p{p_label(p)}_{kind}{label(val)}"
         _write_fit(out / f"model_{tag}.json", out / f"plot_{tag}.csv", data, model, config)
     _write_table(
@@ -265,11 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows,
         config,
     )
-    for row in rows:
-        print(
-            f"p={p_label(row[0])} budget={label(row[1])}  "
-            + ("infeasible" if row[5] else f"rms={row[2]:.4f} max_abs={row[3]:.4f} supp={row[4]}")
-        )
+    print("\n".join(lines))
     return 0
 
 

@@ -22,7 +22,6 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -198,19 +197,13 @@ def parse_dataset(text: str) -> Dataset:
     return Dataset(arr[:, :-1], arr[:, -1])
 
 
-def _num_out(v) -> Any:
-    """A value as written: a float as itself or its inf token, anything else unchanged."""
-    if not isinstance(v, float):
-        return v
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return float(v)
-
-
 def _write_rows(rows: Iterable[list], head: str | None = None) -> str:
     """CSV text: the ``head`` line, if any, then one line of comma-separated
-    cells per row, None as an empty cell; every line ends in a bare newline."""
-    lines = (",".join(["" if v is None else str(_num_out(v)) for v in row]) for row in rows)
+    cells per row, None as an empty cell; every line ends in a bare newline.
+
+    ``str`` of a float is its shortest repr, and ``inf``/``-inf`` for the
+    infinities, which are the dialect's tokens."""
+    lines = (",".join(["" if v is None else str(v) for v in row]) for row in rows)
     return "\n".join(itertools.chain([head] if head else [], lines)) + "\n"
 
 
@@ -232,17 +225,62 @@ def write_table(header: list[str], rows: Iterable[list], comment: str | None = N
     return _write_rows(itertools.chain([header], rows), f"# {comment}" if comment else None)
 
 
+# The C encoder's tokens for the infinities, as written; its NaN token raises.
+_INF_TOKENS = {"Infinity": '"inf"', "-Infinity": '"-inf"'}
+
+
+def _bracket(opening: str, items: list[str], closing: str, depth: int, indent: int | None) -> str:
+    """One container's text in ``json.dumps``'s layout, around its laid-out items."""
+    if not items:
+        return opening + closing
+    if indent is None:
+        return opening + ", ".join(items) + closing
+    pad = "\n" + " " * (indent * (depth + 1))
+    return opening + pad + ("," + pad).join(items) + "\n" + " " * (indent * depth) + closing
+
+
+def _layout(val, depth: int, indent: int | None, leaves: list) -> str:
+    """The text of ``val`` with a ``%s`` slot for each scalar, which is appended to ``leaves``.
+
+    Dict keys (strings only) are scalars too, so no text of the document
+    but its brackets, commas and blanks ever enters the layout.
+    """
+    if isinstance(val, dict):
+        items = []
+        for key, v in val.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            leaves.append(key)
+            items.append("%s: " + _layout(v, depth + 1, indent, leaves))
+        return _bracket("{", items, "}", depth, indent)
+    if isinstance(val, (list, tuple)):
+        return _bracket("[", [_layout(v, depth + 1, indent, leaves) for v in val], "]", depth, indent)
+    if isinstance(val, np.ndarray):
+        leaves.extend(val.ravel().tolist())
+        layout = "%s"
+        for level in range(val.ndim - 1, -1, -1):
+            layout = _bracket("[", [layout] * val.shape[level], "]", depth + level, indent)
+        return layout
+    leaves.append(val)
+    return "%s"
+
+
 def _dumps(doc, indent: int | None = None) -> str:
-    """Strict JSON of ``doc``: every float, in any dict or list, through ``_num_out``; NaN raises."""
+    """Strict JSON of ``doc`` in ``json.dumps(doc, indent=indent)``'s layout, byte for byte.
 
-    def out(val):
-        if isinstance(val, dict):
-            return {key: out(v) for key, v in val.items()}
-        if isinstance(val, (list, tuple)):
-            return [out(v) for v in val]
-        return _num_out(val)
-
-    return json.dumps(out(doc), indent=indent, allow_nan=False)
+    Dicts, lists, tuples and numpy arrays are laid out here; every scalar
+    token comes from one C-encoder dump of the flat list of scalars, split
+    on the newline no JSON token holds.  Infinities are written as the
+    "inf"/"-inf" strings; NaN raises ValueError.
+    """
+    leaves: list = []
+    layout = _layout(doc, 0, indent, leaves)
+    if not leaves:
+        return layout
+    tokens = json.dumps(leaves, separators=("\n", ": "))[1:-1].split("\n")
+    if "NaN" in tokens:
+        raise ValueError("Out of range float values are not JSON compliant: nan")
+    return layout % tuple(map(_INF_TOKENS.get, tokens, tokens))
 
 
 def write_json(doc) -> str:
@@ -293,8 +331,8 @@ def _num_in(v, key: str, allow_none: bool = False) -> float | None:
 def write_model(model: PwlModel) -> str:
     doc = {
         "dim": model.dim,
-        "slopes": model.slopes.tolist(),
-        "intercepts": model.intercepts.tolist(),
+        "slopes": model.slopes,
+        "intercepts": model.intercepts,
         "p": model.p,
         "theta": model.theta,
         "estimator": model.estimator,

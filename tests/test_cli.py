@@ -281,6 +281,20 @@ class TestFitAndSweep:
         assert config["budgets"] == ["inf", 0.5]
         assert (out / "plot_p1_theta0.5.csv").read_text().splitlines()[0] == first
 
+    def test_support_zero_fit_writes_empty_error_cells(self, tmp_path):
+        # a budget the empty support meets: no region to score, so the tables
+        # hold empty cells where model.json holds null
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        data = str(tmp_path / "example1.csv")
+        argv = [data, "--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "1", "--p", "1", "--theta", "1e9"]
+        assert main(["fit", *argv, "--out", str(tmp_path / "fit")]) == 0
+        assert main(["sweep", *argv, "--out", str(tmp_path / "sweep")]) == 0
+        assert (tmp_path / "fit" / "fit.csv").read_text().splitlines()[2] == "1.0,1000000000.0,,,0"
+        assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[2] == "1.0,1000000000.0,,,0,False"
+        for model in (tmp_path / "fit" / "model.json", tmp_path / "sweep" / "model_p1_theta1e+09.json"):
+            doc = json.loads(model.read_text())
+            assert (doc["errors"], doc["support"]) == ({"rms": None, "max_abs": None}, 0)
+
 
 def test_every_file_written_is_lf_only_and_strict_json(worked_files, tmp_path):
     a, b = worked_files

@@ -19,7 +19,9 @@ from tropfit.io_formats import (
     parse_model,
     parse_report,
     parse_vector,
+    config_echo,
     write_dataset,
+    write_json,
     write_matrix,
     write_model,
     write_plot_data,
@@ -341,6 +343,44 @@ def reference_write_table(header, rows, comment=None):
     return buf.getvalue()
 
 
+# The JSON writer's first formula: every float at any depth of dicts, lists
+# and tuples as itself or its inf token, an array as its nested list, then
+# json.dumps, whose indented layout runs on the pure-Python encoder.
+def reference_json_value(val):
+    if isinstance(val, dict):
+        return {key: reference_json_value(v) for key, v in val.items()}
+    if isinstance(val, (list, tuple)):
+        return [reference_json_value(v) for v in val]
+    if isinstance(val, np.ndarray):
+        return reference_json_value(val.tolist())
+    if isinstance(val, float) and math.isinf(val):
+        return "inf" if val > 0 else "-inf"
+    return val
+
+
+def reference_dumps(doc, indent=None):
+    return json.dumps(reference_json_value(doc), indent=indent, allow_nan=False)
+
+
+def reference_write_json(doc):
+    return reference_dumps(doc, indent=2) + "\n"
+
+
+def reference_write_model(m):
+    doc = {
+        "dim": m.dim,
+        "slopes": m.slopes.tolist(),
+        "intercepts": m.intercepts.tolist(),
+        "p": m.p,
+        "theta": m.theta,
+        "estimator": m.estimator,
+        "seed": m.seed,
+        "errors": {"rms": m.rms, "max_abs": m.max_abs},
+        "support": m.support_size,
+    }
+    return reference_write_json(doc)
+
+
 EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225e-309, 1e308, -1e308, 1.7976931348623157e308, 0.1]
 finite_cells = st.one_of(st.sampled_from(EDGE_FINITE), st.floats(allow_nan=False, allow_infinity=False))
 extended_cells = st.one_of(finite_cells, st.sampled_from([math.inf, -math.inf]))
@@ -393,6 +433,53 @@ class TestOneRowWriter:
         header = draw.draw(st.lists(names, min_size=width, max_size=width))
         rows = draw.draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=4))
         assert write_table(header, rows, comment) == reference_write_table(header, rows, comment)
+
+
+# text a JSON token must escape, or that spells a float token if unquoted
+json_text = st.one_of(
+    st.sampled_from([", ", "\n", '"', "Infinity", "-Infinity", "NaN", "inf", "é ☃ 𝄞", "%s", ""]),
+    st.text(max_size=6),
+)
+
+
+def json_docs(nan=False):
+    floats = st.one_of(extended_cells, st.just(math.nan)) if nan else extended_cells
+    arrays = hnp.arrays(
+        np.float64,
+        st.one_of(st.tuples(st.integers(0, 4)), st.tuples(st.integers(0, 4), st.integers(0, 3))),
+        elements=floats,
+    )
+    scalars = st.one_of(floats, st.integers(-(2**70), 2**70), st.booleans(), st.none(), json_text)
+    return st.recursive(
+        st.one_of(scalars, arrays),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(json_text, children, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+class TestOneJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs())
+    def test_json_and_config_echo_bytes(self, doc):
+        assert write_json(doc) == reference_write_json(doc)
+        assert config_echo(doc) == "config: " + reference_dumps(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_docs(nan=True))
+    def test_nan_anywhere_raises_on_both_sides(self, doc):
+        try:
+            want = reference_write_json(doc), "config: " + reference_dumps(doc)
+        except ValueError:
+            with pytest.raises(ValueError):
+                write_json(doc)
+            with pytest.raises(ValueError):
+                config_echo(doc)
+            return
+        assert (write_json(doc), config_echo(doc)) == want
 
 
 def cased(word):
@@ -476,6 +563,7 @@ class TestModelJson:
             max_abs=draw.draw(st.one_of(st.none(), extended)),
         )
         text = write_model(m)
+        assert text == reference_write_model(m)
 
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
