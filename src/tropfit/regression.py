@@ -5,7 +5,9 @@ p(x) = max_k (a_k . x + b_k) over a candidate slope set {a_k}.  Choosing
 the intercepts is a max-plus equation in which the design matrix holds
 the slope/point inner products; a sparse solve prunes intercepts to
 -inf, so the number of affine regions is kept near the minimum needed
-for the requested error budget.
+for the requested error budget.  A fit never builds the m×K design
+matrix: its instance is built from the points and the slopes a block of
+columns at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver import SGLE, SMMAE, FitProblem, GreedyPath, GreedyState, Infeasible
+from .solver import SGLE, SMMAE, FitProblem, GreedyPath, GreedyState, Infeasible, _block_spans
 from .solver import greedy_sparse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .tropical import ShapeError
 
@@ -86,27 +88,24 @@ class SlopeSet:
             raise ShapeError(f"expected K x n slope array, got shape {s.shape}")
         if not np.isfinite(s).all():
             raise ValueError("slopes must be finite")
-        keys = self._dedup_keys(s)
-        seen: dict[tuple, int] = {}
-        keep = []
-        for i, key in enumerate(keys):
-            if key not in seen:
-                seen[key] = i
-                keep.append(i)
-        if len(keep) < s.shape[0]:
+        if self.origin == "gradients":
+            # near-duplicates from neighboring local fits: 10 significant
+            # digits ~ relative tolerance 1e-9
+            first: dict[tuple, int] = {}
+            for i, row in enumerate(s):
+                first.setdefault(tuple(f"{v:.10e}" for v in row), i)
+            keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        else:
+            # unique compares rows by their bytes, so + 0.0 folds -0.0 into
+            # 0.0; it returns each row's first index, sorted back into order
+            keep = np.sort(np.unique(s + 0.0, axis=0, return_index=True)[1])
+        if keep.size < s.shape[0]:
             warnings.warn(
-                f"dropped {s.shape[0] - len(keep)} duplicate slope vector(s)",
+                f"dropped {s.shape[0] - keep.size} duplicate slope vector(s)",
                 stacklevel=2,
             )
             s = s[keep]
         object.__setattr__(self, "slopes", s)
-
-    def _dedup_keys(self, s: np.ndarray) -> list[tuple]:
-        if self.origin == "gradients":
-            # near-duplicates from neighboring local fits: 10 significant
-            # digits ~ relative tolerance 1e-9
-            return [tuple(f"{v:.10e}" for v in row) for row in s]
-        return [tuple(row) for row in s]
 
     @property
     def size(self) -> int:
@@ -166,11 +165,44 @@ class Score:
     support: int
 
 
+class _Design:
+    """The design matrix A_ik = a_k . x_i of a fit, one block of columns at a time.
+
+    GreedyState asks for the blocks in turn, so a fit never holds the whole
+    m×K matrix.  A block is a BLAS product of its own: on OpenBLAS's AVX-512
+    kernels a product's last (width mod 8) columns can round otherwise than
+    the same columns of a product of another size, so a block may differ
+    from x @ slopes.T in the last bit.  The design matrix is defined as its
+    blocks, and build_design_matrix puts them side by side.
+    """
+
+    def __init__(self, data: Dataset, slopes: SlopeSet):
+        if slopes.dim != data.dim:
+            raise ShapeError(f"slope dimension {slopes.dim} != data dimension {data.dim}")
+        self.points, self.slopes = data.x, slopes.slopes
+        self.shape = (len(data), slopes.size)
+
+    def column_block(self, lo: int, hi: int) -> np.ndarray:
+        """Columns lo:hi of the design matrix; ValueError if an entry is not a finite float."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = self.points @ self.slopes[lo:hi].T
+        if not np.isfinite(block).all():
+            raise ValueError("a design entry a_k . x_i overflows a float; rescale x or the slopes")
+        return block
+
+
 def build_design_matrix(data: Dataset, slopes: SlopeSet) -> np.ndarray:
-    """Design matrix with entry (i, k) = a_k . x_i; right-hand side is data.f."""
-    if slopes.dim != data.dim:
-        raise ShapeError(f"slope dimension {slopes.dim} != data dimension {data.dim}")
-    return data.x @ slopes.slopes.T
+    """Design matrix with entry (i, k) = a_k . x_i; right-hand side is data.f.
+
+    Raises ValueError if an entry overflows a float.  fit_path does not
+    call it: it reads the same blocks one at a time, so a fit on this matrix
+    and fit_path see the same bits.
+    """
+    design = _Design(data, slopes)
+    A = np.empty(design.shape)
+    for lo, hi in _block_spans(*design.shape):
+        A[:, lo:hi] = design.column_block(lo, hi)
+    return A
 
 
 def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
@@ -265,15 +297,17 @@ def fit(data: Dataset, slopes: SlopeSet, problem: FitProblem, seed: int | None =
 def fit_path(
     data: Dataset, slopes: SlopeSet, problems: Iterable[FitProblem], seed: int | None = None
 ) -> Iterator[PwlModel | Infeasible]:
-    """Fit each problem in turn on one design matrix, yielding its model or its Infeasible.
+    """Fit each problem in turn on one instance, yielding its model or its Infeasible.
 
-    The design matrix is built, and its GreedyState with it, once for all
-    problems.  Consecutive problems of one norm order share one GreedyPath,
+    One GreedyState serves all problems.  It is built from the points and
+    the slopes a block of columns at a time, so the m×K design matrix is
+    never held; a design entry that overflows a float raises ValueError.
+    Consecutive problems of one norm order share one GreedyPath,
     so a p-major list of budgets costs one greedy run per norm order.
     Problems are read lazily, so the next budget may depend on the models
     already yielded.
     """
-    state = GreedyState(build_design_matrix(data, slopes), data.f)
+    state = GreedyState(_Design(data, slopes), data.f)
     path = None
     for problem in problems:
         if path is None or path.p != problem.p:

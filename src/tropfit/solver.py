@@ -16,7 +16,9 @@ approximately supermodular, so it carries no guarantee.
 error vectors, built once per (A, b); ``GreedyPath(GreedyState(A, b), p)``
 is one greedy run over it, and the run's only record: its picks and the
 error of each prefix, which the certificate reads.  Every budget, norm
-order and estimator on an instance shares the one build.
+order and estimator on an instance shares the one build.  A may also be
+a design that hands out its columns a block at a time, as a fit's does:
+the build then never holds the design matrix, only e0 and one block.
 
 All lp errors are computed as norms (theta-domain) via max-scaling,
 which survives norm orders as high as p = 150 without overflow; the
@@ -79,6 +81,7 @@ SMMAE = "smmae"
 _CHUNK = 64  # seed rows: the largest-error rows that select_best's cheap bounds read
 _FIRST_BLOCK, _LAST_BLOCK = 16, 128  # exact-norm block sizes: doubling, then capped
 _SUBNORMAL_ULP = 2.0**-1074  # the spacing of floats below 2^-1022
+_BUILD_BLOCK = 2**15  # entries per column block of a design's instance build: about 256 KB
 
 
 class Infeasible(Exception):
@@ -375,46 +378,96 @@ class SparseSolution:
     ratio_bound: float | None = None
 
 
+def _block_spans(m: int, n: int) -> list[tuple[int, int]]:
+    """Column spans of about _BUILD_BLOCK entries of an m×n design, in order.
+
+    No span is a single column unless n = 1: a one-column block is a
+    matrix-vector product, which BLAS may round differently from the
+    columns of a matrix product.
+    """
+    width = max(_BUILD_BLOCK // m, 2)
+    edges = list(range(0, n, width)) + [n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _singleton_errors(a: np.ndarray, xhat: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """max(b - (a_j + xhat_j), 0) into row j of ``out``, for every column j of ``a``.
+
+    Rounding can push a contribution a hair above b, and the error vector
+    is non-negative, so it is clamped.
+    """
+    with np.errstate(over="ignore"):  # an error above the largest float is +inf
+        try:
+            with np.errstate(over="raise"):
+                np.add(a.T, xhat[:, np.newaxis], out=out)
+            np.subtract(b, out, out=out)
+        except FloatingPointError:
+            # a_ij + xhat_j ran below -max for finite terms; those entries take
+            # the order (b_i - a_ij) - xhat_j, whose first step cannot overflow
+            np.add(a.T, xhat[:, np.newaxis], out=out)
+            j, i = np.nonzero(np.isneginf(out) & np.isfinite(a.T) & np.isfinite(xhat)[:, np.newaxis])
+            np.subtract(b, out, out=out)
+            out[j, i] = (b[i] - a[i, j]) - xhat[j]
+    np.maximum(out, 0.0, out=out)
+
+
 class GreedyState:
     """The read-only instance the greedy works on: xhat and the singleton errors.
 
     Precomputes the principal solution xhat and the per-singleton error
     vectors e({j}) = b - (A_j + xhat_j), the one m×n array it keeps.  It is
-    stored column-major, so each e({j}) is contiguous, and the build never
-    holds a second m×n array besides A.  Plain addition makes
+    stored column-major, so each e({j}) is contiguous.  Plain addition makes
     no NaN: b is finite, and the principal solution refuses +inf in A and
     clamps it out of xhat.  Every candidate error e(T ∪ {s}) =
-    min(e(T), e({s})) costs O(m).  Nothing in it changes after the build,
-    so one state serves every budget, norm order, run and estimator on
-    (A, b); a run's progress lives in its GreedyPath.
+    min(e(T), e({s})) costs O(m).  The build also keeps three row
+    reductions of e0 that every run reads: ``empty_error`` = e(empty), the
+    row max; ``full_error``, the full support's error, the row min; and
+    ``delta``, the certificate's largest singleton error.  Nothing in it
+    changes after the build, so one state serves every budget, norm order,
+    run and estimator on (A, b); a run's progress lives in its GreedyPath.
+
+    ``A`` is a matrix, or a design: an object with a ``shape`` (m, n) and a
+    ``column_block(lo, hi)`` method that returns columns lo:hi of the
+    matrix, as regression's fits pass.  Every entry of xhat and e0 depends
+    only on its own column, so the build is one loop over column blocks:
+    each block's principal solution, its columns of e0 and its part of the
+    row reductions are taken while the block is in cache, and then the
+    block is let go.  A design comes in blocks of about _BUILD_BLOCK
+    entries, so the build never holds its m×n matrix; a matrix is one
+    block, whose xhat is taken before e0 is allocated, so besides A the
+    build holds one m×n array at a time.
     """
 
     def __init__(self, A, b):
-        A = np.asarray(A, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        self.xhat = principal_solution(A, b)  # validates A and b
-        self.m, self.n = A.shape
-        # b - (A_j + xhat_j) in one column-major buffer, so each column is
-        # contiguous; rounding can push a contribution a hair above b, and
-        # the error vector is non-negative, so clamp
-        columns = np.empty((self.n, self.m))
-        with np.errstate(over="ignore"):  # an error above the largest float is +inf
-            try:
-                with np.errstate(over="raise"):
-                    np.add(A.T, self.xhat[:, np.newaxis], out=columns)
-                np.subtract(b, columns, out=columns)
-            except FloatingPointError:
-                # A_ij + xhat_j ran below -max for finite terms; those entries take
-                # the order (b_i - A_ij) - xhat_j, whose first step cannot overflow
-                np.add(A.T, self.xhat[:, np.newaxis], out=columns)
-                j, i = np.nonzero(np.isneginf(columns) & np.isfinite(A.T) & np.isfinite(self.xhat)[:, np.newaxis])
-                np.subtract(b, columns, out=columns)
-                columns[j, i] = (b[i] - A[i, j]) - self.xhat[j]
-        np.maximum(columns, 0.0, out=columns)
-        columns.flags.writeable = False
-        self.e0 = columns.T
-        self.delta = float(self.e0.max())  # the certificate's largest singleton error
-        self.xhat.flags.writeable = False
+        if hasattr(A, "column_block"):
+            spans, block = _block_spans(*A.shape), A.column_block
+        else:
+            A = np.asarray(A, dtype=np.float64)
+            spans, block = [(0, None)], lambda lo, hi: A
+        columns = None
+        for lo, hi in spans:
+            a = block(lo, hi)
+            part = principal_solution(a, b)  # validates the block and b
+            if columns is None:
+                self.m, self.n = A.shape
+                xhat, columns = np.empty(self.n), np.empty((self.n, self.m))
+            xhat[lo:hi] = part
+            out = columns[lo:hi]  # this block's e0 columns, C-contiguous
+            _singleton_errors(a, part, b, out)
+            top, low = out.max(axis=0), out.min(axis=0)
+            if lo == 0:
+                empty, full = top, low
+            else:
+                np.maximum(empty, top, out=empty)
+                np.minimum(full, low, out=full)
+        for v in (xhat, columns, empty, full):
+            v.flags.writeable = False
+        self.xhat, self.e0 = xhat, columns.T
+        self.empty_error, self.full_error = empty, full
+        self.delta = float(empty.max())
 
     def error_vector_of(self, T) -> np.ndarray:
         """e(T) for an arbitrary support set; e(empty) is the singleton max."""
@@ -422,7 +475,7 @@ class GreedyState:
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
             raise ShapeError(f"support indices out of range for {self.n} columns")
         if idx.size == 0:
-            return self.e0.max(axis=1)
+            return self.empty_error.copy()
         return self.e0[:, idx].min(axis=1)
 
     def error_norm_of(self, T, p: float) -> float:
@@ -430,7 +483,7 @@ class GreedyState:
         return _theta_norm(self.error_vector_of(T), p)
 
     def full_support_norm(self, p: float) -> float:
-        return _theta_norm(self.e0.min(axis=1), p)
+        return _theta_norm(self.full_error, p)
 
     def select_best(
         self, cur_error: np.ndarray, in_support: np.ndarray, p: float, memo: _PickMemo | None = None
@@ -593,7 +646,7 @@ class GreedyPath:
         self.p = p
         self.state = state
         self.full_norm = state.full_support_norm(p)
-        self.cur_error = state.error_vector_of([])
+        self.cur_error = state.empty_error  # read-only: each pick binds a new vector
         self.selected: list[int] = []
         self._in_support = np.zeros(state.n, dtype=bool)
         self._memo = _PickMemo(p, state.n)

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tropfit import solver
+from tropfit.cli import example1_dataset, example2_dataset, example3_dataset
 from tropfit.regression import (
     Dataset,
     PwlModel,
@@ -17,8 +22,9 @@ from tropfit.regression import (
     gradient_slopes,
     grid_slopes,
     score,
+    _Design,
 )
-from tropfit.solver import FitProblem, Infeasible
+from tropfit.solver import FitProblem, GreedyState, Infeasible
 from tropfit.tropical import ShapeError
 
 NEG = -np.inf
@@ -59,6 +65,34 @@ class TestSlopeSet:
     def test_exact_dedup_keeps_close_grid_values(self):
         s = SlopeSet(np.array([[1.0], [1.0 + 1e-13]]), origin="grid")
         assert s.size == 2
+
+
+def reference_dedup(rows):
+    """First occurrences under tuple keys, where -0.0 and 0.0 are one key."""
+    seen, keep = set(), []
+    for i, row in enumerate(rows):
+        if tuple(row) not in seen:
+            seen.add(tuple(row))
+            keep.append(i)
+    return keep
+
+
+@st.composite
+def slope_arrays(draw):
+    """Slope rows with many repeats, signed zeros among them."""
+    k, n = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, 5e-324]), min_size=1, max_size=4))
+    return draw(arrays(np.float64, (k, n), elements=st.sampled_from(values)))
+
+
+class TestSlopeSetDedup:
+    @settings(max_examples=300, deadline=None)
+    @given(slope_arrays(), st.sampled_from(["explicit", "grid"]))
+    def test_equals_the_tuple_key_reference(self, rows, origin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = SlopeSet(rows, origin=origin).slopes
+        assert got.tobytes() == rows[reference_dedup(rows)].tobytes()
 
 
 class TestGridSlopes:
@@ -223,6 +257,130 @@ class TestDesignMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             build_design_matrix(line_data(), SlopeSet(np.eye(2, 3)))
+
+
+def whole_build(data, slopes):
+    return GreedyState(build_design_matrix(data, slopes), data.f)
+
+
+def state_bytes(state):
+    return [v.tobytes() for v in (state.xhat, state.e0, state.empty_error, state.full_error)] + [state.delta]
+
+
+def block_width(m):
+    return max(solver._BUILD_BLOCK // m, 2)
+
+
+@st.composite
+def fit_instances(draw):
+    """Points and target values with signed zeros, and K distinct slopes at a
+    block edge of the fit build: one slope, one block, one more, or a last
+    block of one slope before it is merged."""
+    m, dim = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    width = block_width(m)
+    K = draw(st.sampled_from([1, 2, width - 1, width, width + 1, 2 * width, 2 * width + 1, 3 * width - 1]))
+    grid = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
+    coords = st.one_of(grid, grid, st.floats(-1e3, 1e3))
+    x = draw(arrays(np.float64, (m, dim), elements=coords))
+    f = draw(arrays(np.float64, m, elements=coords))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slopes = rng.choice([0.0, -0.0, 0.125, -0.5, 1.0, -3.0], size=(K, dim))
+    if draw(st.booleans()):
+        slopes += rng.normal(0.0, 2.0, size=(K, dim))
+    slopes[:, 0] = 0.25 * np.arange(K) - 0.125 * K  # distinct rows, so no slope is dropped
+    return Dataset(x, f), SlopeSet(slopes)
+
+
+class TestFitBuild:
+    """The fit's blocked instance build against the build from the whole design matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_instances())
+    def test_equals_the_whole_matrix_build(self, instance):
+        data, slopes = instance
+        state = GreedyState(_Design(data, slopes), data.f)
+        ref = whole_build(data, slopes)
+        assert state_bytes(state) == state_bytes(ref)
+        assert state.empty_error.tobytes() == ref.e0.max(axis=1).tobytes()
+        assert state.full_error.tobytes() == ref.e0.min(axis=1).tobytes()
+        assert state.delta == float(ref.e0.max())
+
+    # OpenBLAS kernels that round each product: there the blocks are the whole
+    # product x @ slopes.T, bit for bit; kernels with FMA may round a block's
+    # last columns otherwise
+    @pytest.mark.skipif(
+        os.environ.get("OPENBLAS_CORETYPE", "").lower() not in ("prescott", "nehalem", "sandybridge"),
+        reason="needs an OpenBLAS kernel without FMA (OPENBLAS_CORETYPE=Prescott)",
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(fit_instances())
+    def test_blocks_are_the_whole_product_without_fma(self, instance):
+        data, slopes = instance
+        assert build_design_matrix(data, slopes).tobytes() == (data.x @ slopes.slopes.T).tobytes()
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_the_papers_designs_are_the_whole_product(self, example):
+        # so the paper's fits read the same bits as from x @ slopes.T
+        if example == 1:
+            data, slopes = example1_dataset(), grid_slopes([-20.0], [20.0], 0.125)
+        elif example == 2:
+            data, slopes = example2_dataset(5), grid_slopes([-10.0, -10.0], [10.0, 10.0], 0.25)
+        else:
+            data = example3_dataset()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                slopes = gradient_slopes(data)
+        assert build_design_matrix(data, slopes).tobytes() == (data.x @ slopes.slopes.T).tobytes()
+
+    def test_two_slope_blocks_of_many_points(self):
+        # past 2^14 points a block holds two slopes, never one
+        rng = np.random.default_rng(4)
+        m = solver._BUILD_BLOCK // 2 + 1
+        data = Dataset(rng.normal(size=(m, 2)), rng.normal(size=m))
+        slopes = SlopeSet(rng.normal(size=(5, 2)))
+        assert solver._block_spans(m, 5) == [(0, 2), (2, 5)]
+        assert state_bytes(GreedyState(_Design(data, slopes), data.f)) == state_bytes(whole_build(data, slopes))
+
+    def test_no_span_is_a_single_slope(self):
+        for m, n in [(1, 1), (3, 2), (500, 6561), (500, 66), (500, 131), (2**15, 3), (2**16, 7)]:
+            spans = solver._block_spans(m, n)
+            assert spans[0][0] == 0 and spans[-1][1] == n
+            assert all(hi == lo2 for (_, hi), (lo2, _) in zip(spans, spans[1:]))
+            assert all(hi - lo > 1 for lo, hi in spans) or n == 1
+
+    def test_peak_is_e0_and_a_few_blocks(self):
+        rng = np.random.default_rng(0)
+        m, K = 300, 2000
+        data = Dataset(rng.normal(size=(m, 2)), rng.normal(size=m))
+        slopes = SlopeSet(rng.normal(size=(K, 2)))
+        tracemalloc.start()
+        try:
+            state = GreedyState(_Design(data, slopes), data.f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole design matrix would take e0.nbytes more
+        block = 8 * m * block_width(m)
+        assert peak <= state.e0.nbytes + 4 * block + 64 * (m + K)
+
+    @pytest.mark.parametrize(
+        "x, slopes",
+        [
+            ([[1e300], [1.0], [2.0]], [[1e10], [1.0]]),  # +inf
+            ([[1e300], [1.0], [2.0]], [[-1e10], [1.0]]),  # -inf, which would read as an absent entry
+            # inf - inf: NaN where BLAS rounds each product, an infinity where it fuses them
+            ([[1e300, 1e300], [1.0, 1.0], [2.0, 2.0]], [[1e10, -1e10], [1.0, 1.0]]),
+        ],
+    )
+    def test_a_product_that_overflows_is_refused(self, x, slopes):
+        data, slopes = Dataset(x, [0.0, 1.0, 2.0]), SlopeSet(np.array(slopes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            for build in (lambda: fit(data, slopes, FitProblem(None, None, p=1, theta=1.0)),
+                          lambda: build_design_matrix(data, slopes)):
+                with pytest.raises(ValueError, match="rescale x or the slopes") as info:
+                    build()
+                assert type(info.value) is ValueError
 
 
 class TestFitEvaluateScore:

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tropfit import solver
 from tropfit.solver import (
     FitProblem,
     GreedyPath,
@@ -717,6 +719,46 @@ class TestInstanceBuild:
         # e0 is the one m×n array the state keeps; numpy's reduction buffers
         # are fixed-size, so the slack is O(m + n)
         assert peak <= A.nbytes + 64 * (m + n) + 2**17
+
+
+class ColumnBlocks:
+    """A matrix as a design: GreedyState reads it a block of columns at a time."""
+
+    def __init__(self, A):
+        self.A, self.shape = A, A.shape
+
+    def column_block(self, lo, hi):
+        return np.ascontiguousarray(self.A[:, lo:hi])
+
+
+class TestBlockedBuild:
+    """A build over column blocks against the build of the whole matrix at once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_instances(), st.integers(1, 40))
+    def test_equals_the_one_block_build(self, instance, block):
+        A, b = instance
+        with mock.patch.object(solver, "_BUILD_BLOCK", block):
+            try:
+                whole = GreedyState(A, b)
+            except ValueError:
+                with pytest.raises(ValueError, match="overflows"):
+                    GreedyState(ColumnBlocks(A), b)
+                return
+            blocked = GreedyState(ColumnBlocks(A), b)
+        for name in ("xhat", "e0", "empty_error", "full_error"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert bits(blocked.delta) == bits(whole.delta)
+        # the row reductions the build keeps are e0's, signed zeros included
+        assert whole.empty_error.tobytes() == whole.e0.max(axis=1).tobytes()
+        assert whole.full_error.tobytes() == whole.e0.min(axis=1).tobytes()
+        assert bits(whole.delta) == bits(float(whole.e0.max()))
+
+    def test_row_reductions_are_read_only(self):
+        state = GreedyState(A_REF, B_REF)
+        for v in (state.empty_error, state.full_error):
+            assert not v.flags.writeable
+        assert state.error_vector_of([]).flags.writeable  # a copy
 
 
 # zeros, subnormals and the least normal: where a scaled norm could lose bits
