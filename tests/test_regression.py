@@ -306,8 +306,8 @@ class TestFitBuild:
         assert state.delta == float(ref.e0.max())
 
     # OpenBLAS kernels that round each product: there the blocks are the whole
-    # product x @ slopes.T, bit for bit; kernels with FMA may round a block's
-    # last columns otherwise
+    # product x @ slopes.T, bit for bit; the AVX-512 kernels may round a
+    # block's last columns otherwise
     @pytest.mark.skipif(
         os.environ.get("OPENBLAS_CORETYPE", "").lower() not in ("prescott", "nehalem", "sandybridge"),
         reason="needs an OpenBLAS kernel without FMA (OPENBLAS_CORETYPE=Prescott)",
