@@ -8,10 +8,7 @@ applies both to fit convex functions with few affine regions.
 
 from .tropical import (
     ShapeError,
-    maxplus_add,
-    minplus_add,
     maxplus_product,
-    minplus_product,
     principal_solution,
     project_on_support,
     support,
@@ -49,10 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ShapeError",
-    "maxplus_add",
-    "minplus_add",
     "maxplus_product",
-    "minplus_product",
     "principal_solution",
     "project_on_support",
     "support",

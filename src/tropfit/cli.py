@@ -103,12 +103,21 @@ def _write_table(path: Path, header: list[str], rows: list[list], config: dict) 
     io_formats.save_text(path, io_formats.write_table(header, rows, io_formats.config_echo(config)))
 
 
-def _write_fit(model_path: Path, plot_path: Path, data: Dataset, model: PwlModel, config: dict) -> None:
-    """A fitted model, and its per-point plot file when it has pieces."""
-    io_formats.save_text(model_path, io_formats.write_model(model))
-    if model.support_size:
-        echo = io_formats.config_echo(config)
-        io_formats.save_text(plot_path, io_formats.write_plot_data(data, evaluate(model, data.x), comment=echo))
+def _fit_writer(data: Dataset, slopes: SlopeSet, config: dict):
+    """A writer of models fitted on (data, slopes): each model's file, and its
+    per-point plot file when it has pieces.
+
+    The text the models share, their slopes, the points and the config
+    comment, is rendered once, here."""
+    model_text = io_formats.ModelRenderer(slopes.slopes)
+    plot_text = io_formats.PlotRenderer(data, io_formats.config_echo(config))
+
+    def write(model_path: Path, plot_path: Path, model: PwlModel) -> None:
+        io_formats.save_text(model_path, model_text(model))
+        if model.support_size:
+            io_formats.save_text(plot_path, plot_text(evaluate(model, data.x)))
+
+    return write
 
 
 def _problem_from_args(args: argparse.Namespace) -> FitProblem:
@@ -213,7 +222,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    _write_fit(out / "model.json", out / "fit_plot.csv", data, model, config)
+    _fit_writer(data, slopes, config)(out / "model.json", out / "fit_plot.csv", model)
     _write_table(
         out / "fit.csv",
         ["p", "theta", "rms", "max_abs", "support"],
@@ -253,6 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = [(p, val) for p in ps for val in budgets]
     problems = [FitProblem(None, None, p=p, estimator=args.estimator, **{kind: val}) for p, val in cells]
     p_label, label = _labeler(ps), _labeler(budgets)
+    write_fit = _fit_writer(data, slopes, config)
     rows, lines = [], []
     for (p, val), model in zip(cells, fit_path(data, slopes, problems, args.seed)):
         where = f"p={p_label(p)} budget={label(val)}  "
@@ -264,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append([p, val, model.rms, model.max_abs, s.support, False])
         lines.append(where + f"rms={s.rms:.4f} max_abs={s.max_abs:.4f} supp={s.support}")
         tag = f"p{p_label(p)}_{kind}{label(val)}"
-        _write_fit(out / f"model_{tag}.json", out / f"plot_{tag}.csv", data, model, config)
+        write_fit(out / f"model_{tag}.json", out / f"plot_{tag}.csv", model)
     _write_table(
         out / "sweep.csv",
         ["p", kind, "rms", "max_abs", "support", "infeasible"],

@@ -20,6 +20,7 @@ import array
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -41,6 +42,8 @@ __all__ = [
     "write_model",
     "write_report",
     "write_plot_data",
+    "ModelRenderer",
+    "PlotRenderer",
     "write_table",
     "write_json",
     "config_echo",
@@ -239,12 +242,19 @@ def _bracket(opening: str, items: list[str], closing: str, depth: int, indent: i
     return opening + pad + ("," + pad).join(items) + "\n" + " " * (indent * depth) + closing
 
 
+class _Rendered(str):
+    """JSON text already laid out at the depth where a document holds it."""
+
+
 def _layout(val, depth: int, indent: int | None, leaves: list) -> str:
     """The text of ``val`` with a ``%s`` slot for each scalar, which is appended to ``leaves``.
 
     Dict keys (strings only) are scalars too, so no text of the document
-    but its brackets, commas and blanks ever enters the layout.
+    but its brackets, commas, blanks and _Rendered parts ever enters the
+    layout; a _Rendered part has its '%' escaped.
     """
+    if isinstance(val, _Rendered):
+        return val.replace("%", "%%")
     if isinstance(val, dict):
         items = []
         for key, v in val.items():
@@ -265,18 +275,19 @@ def _layout(val, depth: int, indent: int | None, leaves: list) -> str:
     return "%s"
 
 
-def _dumps(doc, indent: int | None = None) -> str:
+def _dumps(doc, indent: int | None = None, depth: int = 0) -> str:
     """Strict JSON of ``doc`` in ``json.dumps(doc, indent=indent)``'s layout, byte for byte.
 
     Dicts, lists, tuples and numpy arrays are laid out here; every scalar
     token comes from one C-encoder dump of the flat list of scalars, split
     on the newline no JSON token holds.  Infinities are written as the
-    "inf"/"-inf" strings; NaN raises ValueError.
+    "inf"/"-inf" strings; NaN raises ValueError.  With ``depth`` the text is
+    laid out as a value nested that deep in a document.
     """
     leaves: list = []
-    layout = _layout(doc, 0, indent, leaves)
+    layout = _layout(doc, depth, indent, leaves)
     if not leaves:
-        return layout
+        return layout % ()
     tokens = json.dumps(leaves, separators=("\n", ": "))[1:-1].split("\n")
     if "NaN" in tokens:
         raise ValueError("Out of range float values are not JSON compliant: nan")
@@ -328,19 +339,39 @@ def _num_in(v, key: str, allow_none: bool = False) -> float | None:
     return out
 
 
+class ModelRenderer:
+    """The model document of each of many models on one slope array.
+
+    The slopes, the bulk of a document, are laid out once, at the depth
+    the document holds them; each model then renders only its own fields.
+    A model whose slopes differ from these, in shape or in any bit, is
+    refused with ValueError.
+    """
+
+    def __init__(self, slopes: np.ndarray):
+        self.slopes = slopes
+        self._slopes = _Rendered(_dumps(slopes, indent=2, depth=1))
+
+    def __call__(self, model: PwlModel) -> str:
+        s = model.slopes
+        if s is not self.slopes and (s.shape != self.slopes.shape or s.tobytes() != self.slopes.tobytes()):
+            raise ValueError("the model's slopes are not the slopes this renderer lays out")
+        doc = {
+            "dim": model.dim,
+            "slopes": self._slopes,
+            "intercepts": model.intercepts,
+            "p": model.p,
+            "theta": model.theta,
+            "estimator": model.estimator,
+            "seed": model.seed,
+            "errors": {"rms": model.rms, "max_abs": model.max_abs},
+            "support": model.support_size,
+        }
+        return write_json(doc)
+
+
 def write_model(model: PwlModel) -> str:
-    doc = {
-        "dim": model.dim,
-        "slopes": model.slopes,
-        "intercepts": model.intercepts,
-        "p": model.p,
-        "theta": model.theta,
-        "estimator": model.estimator,
-        "seed": model.seed,
-        "errors": {"rms": model.rms, "max_abs": model.max_abs},
-        "support": model.support_size,
-    }
-    return write_json(doc)
+    return ModelRenderer(model.slopes)(model)
 
 
 _MODEL_KEYS = ("dim", "slopes", "intercepts", "p", "theta", "estimator", "seed", "errors", "support")
@@ -428,10 +459,28 @@ def parse_report(text: str) -> dict:
     return doc
 
 
+class PlotRenderer:
+    """The per-point plot CSV of each of many models on one dataset.
+
+    The ``# comment`` line, if any, and each point's x and target cells
+    are rendered once; each model's text then adds only its values, one
+    per point.  The text is _write_rows' for the rows (x..., f, value).
+    """
+
+    def __init__(self, data: Dataset, comment: str | None = None):
+        self._head = f"# {comment}\n" if comment else ""
+        self._cells = [",".join(map(str, row)) + "," for row in np.column_stack([data.x, data.f]).tolist()]
+
+    def __call__(self, predicted) -> str:
+        values = np.asarray(predicted, dtype=np.float64).ravel()
+        if values.size != len(self._cells):
+            raise ValueError(f"{values.size} model values for {len(self._cells)} points")
+        return self._head + "\n".join(map(operator.add, self._cells, map(str, values.tolist()))) + "\n"
+
+
 def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str:
     """Per-point CSV (x columns, target, model value) for external plotting."""
-    rows = np.column_stack([data.x, data.f, np.asarray(predicted, dtype=np.float64)])
-    return _write_rows(rows.tolist(), f"# {comment}" if comment else None)
+    return PlotRenderer(data, comment)(predicted)
 
 
 def load_matrix(path) -> np.ndarray:

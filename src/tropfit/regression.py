@@ -12,7 +12,6 @@ columns at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Iterable, Iterator
@@ -233,7 +232,8 @@ def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
             "use gradient_slopes to stay tractable in higher dimensions"
         )
     axes = [lo[d] + step * np.arange(int(c) + 1) for d, c in enumerate(spans)]
-    grid = np.array(list(itertools.product(*axes)), dtype=np.float64)
+    # "ij" indexing varies the last axis fastest, the order of itertools.product
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
     return SlopeSet(grid, origin="grid")
 
 

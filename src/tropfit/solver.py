@@ -31,7 +31,7 @@ column is contiguous.  Each greedy pick (GreedyState.select_best) is the
 exact argmin over the free columns, but it evaluates few norms in full.
 Three lower bounds on each candidate's norm rule columns out first: its
 max entry, which min and max compute without rounding; a p-th-power sum
-over the 64 rows with the largest error; and, for finite p, the run's
+over the 16 rows with the largest error; and, for finite p, the run's
 stale gain, the column's drop at an earlier prefix, which supermodularity
 makes an upper bound on its drop now (Minoux's accelerated greedy).  The
 last two are shrunk by a bound on their rounding.  The pick is one pass
@@ -39,7 +39,7 @@ over blocks of columns in ascending order of a cheap bound, which stops at
 a block whose first bound is above the best norm; a block's norms are
 evaluated in a batch, bit for bit as pnorm evaluates one.  A run
 carries its stale gains and its seed rows' block of e0 from one pick to
-the next, at most 64×n + n floats; no pick builds an m×n array.
+the next, at most 16×n + n floats; no pick builds an m×n array.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ SGLE = "sgle"
 SMMAE = "smmae"
 
 
-_CHUNK = 64  # seed rows: the largest-error rows that select_best's cheap bounds read
+_CHUNK = 16  # seed rows: the largest-error rows that select_best's cheap bounds read
 _FIRST_BLOCK, _LAST_BLOCK = 16, 128  # exact-norm block sizes: doubling, then capped
 _SUBNORMAL_ULP = 2.0**-1074  # the spacing of floats below 2^-1022
 _BUILD_BLOCK = 2**15  # entries per column block of a design's instance build: about 256 KB
@@ -162,15 +162,15 @@ def _norm_floors(rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
 
 
 class _PickMemo:
-    """What one greedy run's picks learn for its next picks; at most 64×n + n floats.
+    """What one greedy run's picks learn for its next picks; at most 16×n + n floats.
 
     A memo belongs to one run on one GreedyState at one norm order: between
     two calls the support only grows, so cur_error only falls.
 
     * The seed block.  ``block`` holds the singleton errors e0[rows, :] of
-      the last pick's 64 seed rows, one C-contiguous row per seed row, so a
-      pick gathers from e0 only the rows new to its seed.  The entries are
-      copies of e0, so the bounds read from them do not change.
+      the last pick's 16 seed rows (_CHUNK), one C-contiguous row per seed
+      row, so a pick gathers from e0 only the rows new to its seed.  The
+      entries are copies of e0, so the bounds read from them do not change.
     * Stale gains (finite p).  In units of the run's ``scale`` S, the max
       error at the first pick where it is finite and positive, E(T) =
       sum_i (cur_i/S)^p, and column j's drop at prefix T is
@@ -515,7 +515,7 @@ class GreedyState:
         the eager scan's whatever the memo holds.  The scan is one pass, as
         in Minoux's accelerated greedy and CELF's lazy evaluation (Leskovec
         et al. 2007).  The free columns are sorted, stably, by a cheap bound:
-        the larger of the max bound over the 64 rows with the largest error
+        the larger of the max bound over the 16 rows with the largest error
         and the stale-gain bound.  They are visited in blocks of 16, 32, 64
         and then 128, and the scan stops at a block whose first bound is
         above the best norm found.  Each block's candidate errors are
@@ -529,8 +529,8 @@ class GreedyState:
         from one pick of a run to the next (GreedyPath keeps one per run),
         so a pick gathers only the seed rows that are new.  Without one,
         the pick starts from a fresh memo, which knows no gain.  No m×n
-        array is built: the largest transient is 64×n or 128×m, and a memo
-        holds at most 64×n + n floats.
+        array is built: the largest transient is 16×n or 128×m, and a memo
+        holds at most 16×n + n floats.
         """
         if memo is None:
             memo = _PickMemo(p, self.n)

@@ -1,9 +1,9 @@
 """Max-plus / min-plus linear algebra over the extended reals.
 
 Scalars live in R ∪ {-inf, +inf}, represented as IEEE doubles with the
-infinities reserved for the semiring bottoms/tops.  The two addition
-flavours resolve the ambiguous case (-inf) + (+inf) explicitly, each to
-its own absorbing element, so no NaN can escape an operation.
+infinities reserved for the semiring bottoms/tops.  The max-plus product
+resolves the ambiguous sum (-inf) + (+inf) to its absorbing -inf, so no
+NaN can escape it.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "support",
-    "maxplus_add",
-    "minplus_add",
     "maxplus_product",
-    "minplus_product",
     "principal_solution",
     "project_on_support",
 ]
@@ -54,48 +51,18 @@ def support(x) -> np.ndarray:
     return np.nonzero(~np.isneginf(x))[0]
 
 
-def maxplus_add(a, b) -> np.ndarray:
-    """Elementwise a + b with -inf absorbing: (-inf) + (+inf) = -inf."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    bottom = np.isneginf(a) | np.isneginf(b)
-    with np.errstate(invalid="ignore"):
-        out = np.where(bottom, -np.inf, a + b)
-    return out
-
-
-def minplus_add(a, b) -> np.ndarray:
-    """Elementwise a + b with +inf absorbing: (-inf) + (+inf) = +inf."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    top = np.isposinf(a) | np.isposinf(b)
-    with np.errstate(invalid="ignore"):
-        out = np.where(top, np.inf, a + b)
-    return out
-
-
 def maxplus_product(A, x) -> np.ndarray:
     """Max-plus matrix-vector product: result_i = max_k (A_ik + x_k).
 
-    Sums use max-plus addition, so -inf entries absorb.
+    Sums use max-plus addition, so -inf entries absorb: (-inf) + (+inf) = -inf.
     """
     A = as_matrix(A)
     x = as_vector(x)
     if A.shape[1] != x.shape[0]:
         raise ShapeError(f"matrix has {A.shape[1]} columns, vector has length {x.shape[0]}")
-    return maxplus_add(A, x[np.newaxis, :]).max(axis=1)
-
-
-def minplus_product(A, x) -> np.ndarray:
-    """Min-plus matrix-vector product: result_i = min_k (A_ik + x_k).
-
-    Sums use min-plus addition, so +inf entries absorb.
-    """
-    A = as_matrix(A)
-    x = as_vector(x)
-    if A.shape[1] != x.shape[0]:
-        raise ShapeError(f"matrix has {A.shape[1]} columns, vector has length {x.shape[0]}")
-    return minplus_add(A, x[np.newaxis, :]).min(axis=1)
+    bottom = np.isneginf(A) | np.isneginf(x)
+    with np.errstate(invalid="ignore"):
+        return np.where(bottom, -np.inf, A + x).max(axis=1)
 
 
 def principal_solution(A, b) -> np.ndarray:

@@ -17,7 +17,15 @@ from tropfit.cli import (
     main,
     run_bench,
 )
-from tropfit.io_formats import load_dataset, load_model, load_vector, parse_report
+from tropfit.io_formats import (
+    load_dataset,
+    load_model,
+    load_vector,
+    parse_report,
+    write_model,
+    write_plot_data,
+)
+from tropfit.regression import evaluate
 
 MATRIX = "0,5,2\n4,1,0\n0,1,0\n"
 VECTOR = "3\n1\n0\n"
@@ -294,6 +302,32 @@ class TestFitAndSweep:
         for model in (tmp_path / "fit" / "model.json", tmp_path / "sweep" / "model_p1_theta1e+09.json"):
             doc = json.loads(model.read_text())
             assert (doc["errors"], doc["support"]) == ({"rms": None, "max_abs": None}, 0)
+
+
+    @pytest.mark.parametrize(
+        "which, flags",
+        [
+            ("1", ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5", "--p", "1,2", "--theta", "0.15,1,1e9"]),
+            ("2", ["--grid-lo", "-4", "--grid-hi", "4", "--grid-step", "0.5", "--p", "2", "--theta", "15,20,25"]),
+        ],
+    )
+    def test_sweep_files_equal_the_one_shot_writers(self, tmp_path, which, flags):
+        main(["gen-example", which, "--out", str(tmp_path)])
+        data_path = tmp_path / f"example{which}.csv"
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(data_path), *flags, "--out", str(out), "--estimator", "smmae"]) == 0
+        data = load_dataset(data_path)
+        echo = (out / "sweep.csv").read_text().splitlines()[0].removeprefix("# ")
+        models = sorted(out.glob("model_*.json"))
+        assert len(models) >= 3
+        for path in models:
+            model = load_model(path)
+            assert path.read_text() == write_model(model)
+            plot = out / path.name.replace("model_", "plot_").replace(".json", ".csv")
+            if model.support_size:
+                assert plot.read_text() == write_plot_data(data, evaluate(model, data.x), echo)
+            else:
+                assert not plot.exists()
 
 
 def test_every_file_written_is_lf_only_and_strict_json(worked_files, tmp_path):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tropfit.io_formats import (
+    ModelRenderer,
     ParseError,
+    PlotRenderer,
     _num_in,
     _parse_cell,
     _split_rows,
@@ -577,6 +579,48 @@ class TestModelJson:
         assert (again.p, again.theta, again.estimator, again.seed) == (m.p, m.theta, m.estimator, m.seed)
         assert (again.rms, again.max_abs) == (m.rms, m.max_abs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_renderer_writes_many_models_on_one_slope_set(self, draw):
+        pieces, dim = draw.draw(st.integers(1, 4)), draw.draw(st.integers(1, 3))
+        slopes = draw.draw(finite_matrix(pieces, dim))
+        render = ModelRenderer(slopes)
+        extended = st.one_of(st.none(), extended_cells)
+        intercepts = st.one_of(
+            hnp.arrays(np.float64, pieces, elements=st.one_of(extended_cells, st.just(NEG))),
+            st.just(np.full(pieces, NEG)),
+        )
+        for _ in range(draw.draw(st.integers(1, 6))):
+            m = PwlModel(
+                # the renderer's own array, or a copy with the same bits
+                slopes=slopes if draw.draw(st.booleans()) else slopes.copy(),
+                intercepts=draw.draw(intercepts),
+                p=draw.draw(st.one_of(st.integers(1, 200), extended_cells)),
+                theta=draw.draw(extended_cells),
+                estimator=draw.draw(st.sampled_from(["sgle", "smmae"])),
+                seed=draw.draw(st.one_of(st.none(), st.integers())),
+                rms=draw.draw(extended),
+                max_abs=draw.draw(extended),
+            )
+            assert render(m) == reference_write_model(m)
+            assert write_model(m) == reference_write_model(m)
+
+    def test_a_model_on_other_slopes_is_refused(self):
+        slopes = np.array([[1.0, 0.0], [5e-324, 1e308]])
+        render = ModelRenderer(slopes)
+        assert render(sample_model(slopes=slopes, intercepts=[0.0, NEG])) == reference_write_model(
+            sample_model(slopes=slopes, intercepts=[0.0, NEG])
+        )
+        others = [
+            np.array([[1.0, -0.0], [5e-324, 1e308]]),  # equal values, other bits
+            np.array([[1.0, 0.0], [0.0, 1e308]]),
+            np.array([[1.0, 0.0], [5e-324, 1e308], [2.0, 2.0]]),
+            np.array([[1.0], [0.0]]),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="slopes"):
+                render(sample_model(slopes=other, intercepts=np.zeros(other.shape[0])))
+
     def test_missing_estimator_is_schema_error(self):
         doc = json.loads(write_model(sample_model()))
         del doc["estimator"]
@@ -676,6 +720,24 @@ class TestReportJson:
             assert value in text
             with pytest.raises(ParseError, match=key):
                 parse_report(text)
+
+
+class TestPlotRenderer:
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(), comments, st.data())
+    def test_one_renderer_writes_many_models_on_one_dataset(self, data, comment, draw):
+        render = PlotRenderer(data, comment)
+        for _ in range(draw.draw(st.integers(1, 5))):
+            predicted = draw.draw(hnp.arrays(np.float64, len(data), elements=extended_cells))
+            want = reference_write_plot_data(data, predicted, comment)
+            assert render(predicted) == want
+            assert write_plot_data(data, predicted, comment) == want
+
+    def test_a_value_count_other_than_the_points_is_refused(self):
+        render = PlotRenderer(Dataset(np.array([[1.0], [2.0]]), np.array([3.0, 4.0])))
+        for predicted in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="2 points"):
+                render(predicted)
 
 
 def test_plot_data_columns():

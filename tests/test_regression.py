@@ -120,16 +120,42 @@ class TestGridSlopes:
     def test_cap_holds_where_int64_count_wraps(self, monkeypatch, lo, hi, step):
         # 2^64 wraps to 0 and 3^40 to a negative count in int64; the last two
         # counts overflow float, which is past any cap
-        def no_grid(*axes):
+        def no_grid(*axes, **kwargs):
             raise AssertionError("grid built past the cap")
 
-        monkeypatch.setattr(itertools, "product", no_grid)
+        monkeypatch.setattr(np, "meshgrid", no_grid)
         with pytest.raises(ValueError, match="exceeds cap"):
             grid_slopes(lo, hi, step)
 
     def test_nonfinite_corner_refused(self):
         with pytest.raises(ValueError, match="finite"):
             grid_slopes([0.0], [math.inf], 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_product_grid_bit_for_bit(self, data):
+        dims = data.draw(st.integers(1, 3))
+        step = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.7, 1.0, 2.5]))
+        lo, hi = [], []
+        for _ in range(dims):
+            start = data.draw(st.floats(-20, 20))
+            lo.append(start)
+            # some axes have lo == hi; others end off the step's lattice
+            hi.append(start + data.draw(st.sampled_from([0.0, step * data.draw(st.integers(1, 10)), 1.3, 2.71])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an axis step below a ulp of lo repeats slopes
+            got = grid_slopes(lo, hi, step)
+            want = SlopeSet(reference_grid(lo, hi, step), origin="grid")
+        assert got.slopes.tobytes() == want.slopes.tobytes()
+        assert got.slopes.shape == want.slopes.shape
+
+
+def reference_grid(lo, hi, step):
+    """grid_slopes' first formula: one Python tuple per slope from itertools.product."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    spans = np.floor((hi - lo) / step + 1e-9)
+    axes = [lo[d] + step * np.arange(int(c) + 1) for d, c in enumerate(spans)]
+    return np.array(list(itertools.product(*axes)), dtype=np.float64)
 
 
 def matrix_rank_gradient_slopes(data, k):

@@ -30,12 +30,12 @@ from tropfit.solver import (
     submodularity_ratio,
 )
 from tropfit.tropical import (
-    maxplus_add,
     maxplus_product,
-    minplus_product,
     principal_solution,
     project_on_support,
 )
+
+from test_tropical import reference_maxplus_add, reference_minplus_product
 
 NEG = -np.inf
 A_REF = np.array([[0.0, 5.0, 2.0], [4.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -653,7 +653,7 @@ def edge_instances(draw, max_side=12):
 def assert_build_equals_semiring_reference(A, b):
     try:
         with np.errstate(over="raise"):
-            xhat = minplus_product((-A).T, b)
+            xhat = reference_minplus_product((-A).T, b)
     except FloatingPointError:
         # a finite b_i - A_ij overflows: both builds refuse the instance
         for build in (principal_solution, GreedyState):
@@ -663,7 +663,7 @@ def assert_build_equals_semiring_reference(A, b):
     xhat[np.isposinf(xhat)] = -np.inf
     got = principal_solution(A, b)
     with np.errstate(over="ignore"):
-        summed = maxplus_add(A, xhat[np.newaxis, :])
+        summed = reference_maxplus_add(A, xhat[np.newaxis, :])
         e0 = np.maximum(b[:, np.newaxis] - summed, 0)
     # where A_ij + xhat_j of two finite terms overflows, the build takes
     # (b_i - A_ij) - xhat_j instead; every other entry is the reference's
@@ -895,7 +895,7 @@ class TestSelectBest:
         # with b = 0 and a zero in every column, e({j}) is column j of E
         want = 0
         if case == "max outside the seed rows":
-            # 70 rows above the tie, so rows 64-69 lie outside the seed;
+            # 70 rows above the tie, so rows 64-69 lie outside a seed of up to 64 rows;
             # columns 0 and 1 tie at 5 with their max there, and column 1
             # has the lower seed bound
             E = np.zeros((72, 3))
@@ -925,6 +925,41 @@ class TestSelectBest:
         for q in (1.0, 2.0, 150.0, math.inf):
             assert state.select_best(cur_error, in_support, q) == eager_best_column(state, cur_error, in_support, q)
 
+    @pytest.mark.parametrize("chunk", [1, 16, 64])
+    def test_a_tie_just_outside_the_seed_is_kept(self, chunk):
+        # rows 0..chunk+1 carry the largest error, so the seed is rows
+        # 0..chunk-1; columns 0 and 1 have their max, 5, at row chunk, the
+        # first row outside it, and column 1 has the lower seed bound
+        with mock.patch.object(solver, "_CHUNK", chunk):
+            c = solver._CHUNK
+            E = np.zeros((c + 4, 3))
+            E[: c + 2, 2], E[:c, 0], E[:c, 1] = 10.0, 3.0, 1.0
+            E[c, 0] = E[c, 1] = 5.0
+            state = GreedyState(-E, np.zeros(E.shape[0]))
+            in_support = np.zeros(3, dtype=bool)
+            cur_error = state.error_vector_of([])
+            assert state.select_best(cur_error, in_support, math.inf) == 0
+            for q in (0.5, 1.0, 2.0, 150.0, math.inf):
+                assert state.select_best(cur_error, in_support, q) == eager_best_column(state, cur_error, in_support, q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel_instances(), st.integers(1, 6))
+    @pytest.mark.parametrize("chunk", ["1", "16", "64", "m + 1"])
+    def test_every_seed_size_picks_as_the_eager_scan(self, chunk, instance, picks):
+        A, b = instance
+        state = GreedyState(A, b)
+        size = state.m + 1 if chunk == "m + 1" else int(chunk)
+        with mock.patch.object(solver, "_CHUNK", size):
+            for p in (0.5, 1.0, 2.0, 150.0, math.inf):
+                memo = _PickMemo(p, state.n)
+                cur_error = state.empty_error
+                in_support = np.zeros(state.n, dtype=bool)
+                for _ in range(min(picks, state.n)):
+                    j = state.select_best(cur_error, in_support, p, memo)
+                    assert j == eager_best_column(state, cur_error, in_support, p), (size, p)
+                    cur_error = np.minimum(cur_error, state.e0[:, j])
+                    in_support[j] = True
+
     def test_select_best_holds_no_m_by_n_transient(self):
         rng = np.random.default_rng(4)
         A, b = rng.normal(0.0, 2.0, (1000, 1000)), rng.normal(0.0, 1.0, 1000)
@@ -950,8 +985,8 @@ class TestSelectBest:
             finally:
                 tracemalloc.stop()
             assert max(peaks) <= A.nbytes / 2, (p, max(peaks) / A.nbytes)
-            # what the run keeps between picks: the seed block, the gains and 64 row indices
+            # what the run keeps between picks: the seed block, the gains and the seed's row indices
             kept = [v for v in vars(memo).values() if isinstance(v, np.ndarray)]
-            assert sum(v.size for v in kept if v.dtype == np.float64) <= (64 + 1) * state.n
-            assert sum(v.size for v in kept if v.dtype != np.float64) <= 64
+            assert sum(v.size for v in kept if v.dtype == np.float64) <= (solver._CHUNK + 1) * state.n
+            assert sum(v.size for v in kept if v.dtype != np.float64) <= solver._CHUNK
             assert memo.block.flags.c_contiguous
