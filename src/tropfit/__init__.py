@@ -11,7 +11,6 @@ from .tropical import (
     maxplus_product,
     principal_solution,
     project_on_support,
-    support,
 )
 from .solver import (
     FitProblem,
@@ -49,7 +48,6 @@ __all__ = [
     "maxplus_product",
     "principal_solution",
     "project_on_support",
-    "support",
     "FitProblem",
     "GreedyPath",
     "GreedyState",

@@ -96,7 +96,7 @@ def example3_dataset() -> Dataset:
 
 def _config(args: argparse.Namespace, **options) -> dict:
     """Replay record embedded in every output file."""
-    return {"command": args.command, "seed": args.seed, "out": str(args.out), "threads": args.threads, **options}
+    return {"command": args.command, "seed": args.seed, "out": str(args.out), **options}
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], config: dict) -> None:
@@ -120,9 +120,9 @@ def _fit_writer(data: Dataset, slopes: SlopeSet, config: dict):
     return write
 
 
-def _problem_from_args(args: argparse.Namespace) -> FitProblem:
+def _problem_from_args(args: argparse.Namespace, A=None, b=None) -> FitProblem:
     p = math.inf if getattr(args, "norm_inf_greedy", False) else args.p
-    return FitProblem(None, None, p=p, theta=args.theta, epsilon=args.epsilon, estimator=args.estimator)
+    return FitProblem(A, b, p=p, theta=args.theta, epsilon=args.epsilon, estimator=args.estimator)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -164,7 +164,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     A = io_formats.load_matrix(args.matrix)
     b = io_formats.load_vector(args.vector)
-    problem = _problem_from_args(args).with_data(A, b)
+    problem = _problem_from_args(args, A, b)
     config = _config(
         args,
         matrix=args.matrix,
@@ -364,7 +364,7 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
 def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     m = n = PAPER_SCALE if args.paper_scale else args.size
-    config = _config(args, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
+    config = _config(args, threads=args.threads, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
     t0 = time.perf_counter()
     report = run_bench(args.trials, m, n, args.delta, args.p, args.seed, args.threads)
     elapsed = time.perf_counter() - t0
@@ -544,7 +544,6 @@ def cmd_repro(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master seed recorded in outputs")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--threads", type=int, default=1, help="parallel trials where supported")
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
@@ -606,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--paper-scale", action="store_true", help=f"use {PAPER_SCALE}x{PAPER_SCALE}")
     bench.add_argument("--delta", type=float, default=2.5, help="target max-abs error")
     bench.add_argument("--p", type=float, default=150.0, help="norm order for the heuristic arm")
+    bench.add_argument("--threads", type=int, default=1, help="trials run in parallel")
     _add_common(bench)
     bench.set_defaults(func=cmd_bench)
 

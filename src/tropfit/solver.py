@@ -51,13 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tropical import (
-    ShapeError,
-    as_matrix,
-    as_vector,
-    principal_solution,
-    project_on_support,
-)
+from .tropical import ShapeError, principal_solution, project_on_support
 
 __all__ = [
     "Infeasible",
@@ -303,6 +297,12 @@ class FitProblem:
     comparison-only l-infinity greedy.  Orders 0 < p < 1 are accepted with a
     warning: they void the norm axioms and the supermodularity guarantee and
     are supported as an experimental quasi-norm mode only.
+
+    ``A`` and ``b`` are carried as given and checked by the solve that reads
+    them: greedy_sparse_solve and brute_force_oracle, the only readers, build
+    a GreedyState, whose tropical.principal_solution raises for an invalid
+    (A, b).  A problem for a GreedyPath or a fit, which ignore the data,
+    passes ``None, None``.
     """
 
     A: np.ndarray | None
@@ -328,17 +328,6 @@ class FitProblem:
         raw = self.theta if self.theta is not None else self.epsilon
         if not raw >= 0:
             raise ValueError("error budget must be non-negative")
-        if self.A is not None:
-            object.__setattr__(self, "A", as_matrix(self.A))
-        if self.b is not None:
-            b = as_vector(self.b)
-            if not np.isfinite(b).all():
-                raise ValueError("right-hand side b must be finite")
-            object.__setattr__(self, "b", b)
-        if self.A is not None and self.b is not None and self.A.shape[0] != self.b.shape[0]:
-            raise ShapeError(
-                f"matrix has {self.A.shape[0]} rows, vector has length {self.b.shape[0]}"
-            )
 
     @property
     def budget(self) -> float:
@@ -351,9 +340,6 @@ class FitProblem:
         if eps == 0.0:
             return 0.0
         return math.exp(math.log(eps) / self.p)
-
-    def with_data(self, A, b) -> "FitProblem":
-        return replace(self, A=A, b=b)
 
 
 @dataclass(frozen=True)
@@ -441,7 +427,6 @@ class GreedyState:
     """
 
     def __init__(self, A, b):
-        b = np.asarray(b, dtype=np.float64)
         if hasattr(A, "column_block"):
             spans, block = _block_spans(*A.shape), A.column_block
         else:
@@ -452,6 +437,7 @@ class GreedyState:
             a = block(lo, hi)
             part = principal_solution(a, b)  # validates the block and b
             if columns is None:
+                b = np.asarray(b, dtype=np.float64)
                 self.m, self.n = A.shape
                 xhat, columns = np.empty(self.n), np.empty((self.n, self.m))
             xhat[lo:hi] = part
@@ -579,7 +565,7 @@ def _certificate_from(m: int, delta: float, p: float, theta: float, prev_norm: f
         return math.inf
     log_eps = -math.inf if theta == 0.0 else p * math.log(theta)
     log_num = _log_diff_exp(math.log(m) + p * math.log(delta), log_eps)
-    log_den = _log_diff_exp(p * math.log(prev_norm), log_eps)
+    log_den = _log_power_drop(prev_norm, theta, p)
     if not (math.isfinite(log_num) and math.isfinite(log_den)):
         # denominator underflow, or infinite errors from -inf matrix entries:
         # nothing can be certified
@@ -690,8 +676,6 @@ def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
     a comparison heuristic with no guarantee.  Many budgets on one instance
     share one run through GreedyPath, and many runs one GreedyState.
     """
-    if problem.A is None or problem.b is None:
-        raise ValueError("problem carries no equation data; use with_data(A, b)")
     return GreedyPath(GreedyState(problem.A, problem.b), problem.p).solve(problem)
 
 
@@ -731,8 +715,6 @@ def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolu
     walk, by the greedy's rule: the full support misses the budget.
     Refuses n > ``max_columns``.
     """
-    if problem.A is None or problem.b is None:
-        raise ValueError("problem carries no equation data; use with_data(A, b)")
     state = GreedyState(problem.A, problem.b)
     if state.n > max_columns:
         raise ValueError(f"brute force refused: {state.n} columns > cap {max_columns}")

@@ -14,7 +14,6 @@ __all__ = [
     "ShapeError",
     "as_matrix",
     "as_vector",
-    "support",
     "maxplus_product",
     "principal_solution",
     "project_on_support",
@@ -25,14 +24,24 @@ class ShapeError(ValueError):
     """Dimension mismatch or malformed operand."""
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a 2-D float64 array (m >= 1, n >= 1)."""
+def _matrix_and_max(a) -> tuple[np.ndarray, float]:
+    """``a`` as a validated 2-D float64 array, with its largest entry.
+
+    One max reduction finds both a NaN (the max of an array holding one is
+    NaN) and a +inf.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-    if np.isnan(a).any():
+    top = a.max()
+    if np.isnan(top):
         raise ShapeError("matrix contains NaN; entries must be real or +/-inf")
-    return a
+    return a, top
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate and return ``a`` as a 2-D float64 array (m >= 1, n >= 1)."""
+    return _matrix_and_max(a)[0]
 
 
 def as_vector(x) -> np.ndarray:
@@ -43,12 +52,6 @@ def as_vector(x) -> np.ndarray:
     if np.isnan(x).any():
         raise ShapeError("vector contains NaN; entries must be real or +/-inf")
     return x
-
-
-def support(x) -> np.ndarray:
-    """Indices where ``x`` is not -inf."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.nonzero(~np.isneginf(x))[0]
 
 
 def maxplus_product(A, x) -> np.ndarray:
@@ -73,14 +76,19 @@ def principal_solution(A, b) -> np.ndarray:
     xhat in R ∪ {-inf}.  A finite b_i - A_ij that overflows raises
     ValueError: its -inf would wrongly mark a column with finite entries
     as unusable.
+
+    This is the one check of an instance (A, b): every solve reaches it
+    through GreedyState.  ShapeError (a ValueError) means a malformed or
+    NaN operand, or row counts that differ; ValueError a non-finite b, a
+    +inf in A, or an overflow.
     """
-    A = as_matrix(A)
+    A, top = _matrix_and_max(A)
     b = as_vector(b)
     if A.shape[0] != b.shape[0]:
         raise ShapeError(f"matrix has {A.shape[0]} rows, vector has length {b.shape[0]}")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite for the principal solution")
-    if np.isposinf(A).any():
+    if top == np.inf:
         raise ValueError("matrix entries must lie in R ∪ {-inf}")
     try:
         with np.errstate(over="raise"):

@@ -7,6 +7,7 @@ lines as they complete.  Tolerances are fixed here, not calibrated.
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -176,7 +177,7 @@ def test_criterion_5_example1_reproduction():
         s = score(sgle_model, data)
         assert abs(s.support - supp) <= 1, (theta, s.support, supp)
         assert abs(s.rms - rms) <= 0.10 * rms, (theta, s.rms, rms)
-        sgle = greedy_sparse_solve(problem.with_data(design, data.f))
+        sgle = greedy_sparse_solve(replace(problem, A=design, b=data.f))
         smmae = smmae_lift(sgle)
         assert smmae.error_inf == 0.5 * sgle.error_inf  # exact at the solver level
         assert smmae.support == sgle.support  # both estimates share one support

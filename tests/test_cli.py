@@ -430,6 +430,7 @@ class TestBench:
         summary = json.loads((tmp_path / "bench_summary.json").read_text())
         assert summary["trials"] == 3
         assert summary["config"]["seed"] == 1
+        assert summary["config"]["threads"] == 1
 
     @pytest.mark.parametrize("name, value", [("trials", -2), ("threads", 0), ("threads", -3)])
     def test_bad_counts_are_rejected(self, tmp_path, capsys, name, value):
@@ -440,6 +441,23 @@ class TestBench:
         kwargs = {"trials": 2, "threads": 1, name: value}
         with pytest.raises(ValueError, match=name):
             run_bench(m=5, n=5, delta=2.5, p=150.0, seed=0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "A.csv", "b.csv", "--theta", "1"],
+            ["fit", "data.csv", "--grid-step", "1", "--theta", "1"],
+            ["sweep", "data.csv", "--p", "1", "--theta", "1"],
+            ["repro"],
+            ["gen-example", "1"],
+        ],
+    )
+    def test_threads_is_refused_outside_bench(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads=2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_command_failing_before_its_first_write_leaves_no_out_directory(worked_files, tmp_path, capsys):

@@ -471,8 +471,14 @@ class TestFitProblem:
             FitProblem(None, None, p=1, theta=-1.0)
         with pytest.raises(ValueError):
             FitProblem(A_REF, B_REF, p=1, theta=1.0, estimator="other")
-        with pytest.raises(ValueError):
-            FitProblem(A_REF, np.array([1.0, NEG, 0.0]), p=1, theta=1.0)
+        # the data is checked by the solve that reads it
+        bad_data = FitProblem(A_REF, np.array([1.0, NEG, 0.0]), p=1, theta=1.0)
+        no_data = FitProblem(None, None, p=1, theta=1.0)
+        for problem in (bad_data, no_data):
+            with pytest.raises(ValueError):
+                greedy_sparse_solve(problem)
+            with pytest.raises(ValueError):
+                brute_force_oracle(problem)
 
 
 def eager_best_column(state, cur_error, in_support, p):

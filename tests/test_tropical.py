@@ -1,9 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tropfit
 from tropfit.tropical import (
     ShapeError,
     as_matrix,
@@ -11,7 +15,6 @@ from tropfit.tropical import (
     maxplus_product,
     principal_solution,
     project_on_support,
-    support,
 )
 
 NEG = -np.inf
@@ -45,6 +48,38 @@ def reference_minplus_product(A, x):
     if A.shape[1] != x.shape[0]:
         raise ShapeError(f"matrix has {A.shape[1]} columns, vector has length {x.shape[0]}")
     return reference_minplus_add(A, x[np.newaxis, :]).min(axis=1)
+
+
+def reference_support(x):
+    """Indices where ``x`` is not -inf."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.nonzero(~np.isneginf(x))[0]
+
+
+def reference_principal_solution(A, b):
+    """principal_solution with its checks as separate scans, one per property:
+    a NaN scan of A, then b's, then a +inf scan of A, in the library's order."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ShapeError(f"expected a non-empty 2-D matrix, got shape {A.shape}")
+    if np.isnan(A).any():
+        raise ShapeError("matrix contains NaN; entries must be real or +/-inf")
+    b = as_vector(b)
+    if A.shape[0] != b.shape[0]:
+        raise ShapeError(f"matrix has {A.shape[0]} rows, vector has length {b.shape[0]}")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite for the principal solution")
+    if np.isposinf(A).any():
+        raise ValueError("matrix entries must lie in R ∪ {-inf}")
+    try:
+        with np.errstate(over="raise"):
+            residuals = b[:, np.newaxis] - A
+    except FloatingPointError:
+        raise ValueError("b_i - A_ij overflows a float for some finite entries; rescale A and b") from None
+    xhat = residuals.min(axis=0)
+    xhat[np.isposinf(xhat)] = -np.inf
+    return xhat
+
 
 # the worked instance used throughout: A x = b with known principal solution
 A_REF = np.array([[0.0, 5.0, 2.0], [4.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -135,6 +170,39 @@ class TestProducts:
         assert (maxplus_product(A, x) <= maxplus_product(A, y)).all()
 
 
+# entries that make an operand invalid, alone or together: NaN, +inf, and
+# (in b) -inf; and magnitudes whose b_i - A_ij overflows
+ODD_ENTRIES = [np.nan, np.inf, NEG, 1e308, -1e308]
+
+
+@st.composite
+def operands(draw):
+    """(A, b) pairs, mostly invalid: odd entries, all-(-inf) columns, rows
+    that differ, and A or b of the wrong rank or empty."""
+    values = st.sampled_from([0.0, -1.5, 2.0, 7.25, *ODD_ENTRIES])
+    if draw(st.integers(0, 3)):
+        shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    else:
+        shape = draw(st.sampled_from([(), (0,), (3,), (0, 3), (3, 0), (2, 2, 2)]))
+    A = draw(arrays(np.float64, shape, elements=values))
+    if A.ndim == 2 and A.size and draw(st.booleans()):
+        A[:, draw(st.integers(0, A.shape[1] - 1))] = NEG
+    m = A.shape[0] if A.ndim else 1
+    if draw(st.integers(0, 3)):
+        b_shape = (m,)
+    else:
+        b_shape = draw(st.sampled_from([(m + 1,), (abs(m - 1),), (m, 1), ()]))
+    return A, draw(arrays(np.float64, b_shape, elements=values))
+
+
+def outcome(solve, A, b):
+    """What ``solve`` gives: the bytes of its xhat, or its exception's type and message."""
+    try:
+        return solve(A, b).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestPrincipalSolution:
     def test_worked_instance(self):
         assert np.array_equal(principal_solution(A_REF, B_REF), XHAT_REF)
@@ -183,6 +251,30 @@ class TestPrincipalSolution:
                 assert (x <= xhat + tol).all()
 
 
+    @settings(max_examples=400, deadline=None)
+    @given(operands())
+    def test_checks_as_the_separate_scans(self, ab):
+        A, b = ab
+        assert outcome(principal_solution, A, b) == outcome(reference_principal_solution, A, b)
+
+    def test_each_check_answers_in_order(self):
+        # one instance breaking every later check too, so each case names the first
+        bad_b = np.array([np.inf, 0.0])
+        cases = [
+            (np.array([1.0, np.nan]), bad_b, ShapeError, "2-D"),
+            (np.array([[np.nan, np.inf]]), bad_b, ShapeError, "NaN"),
+            (np.array([[np.inf, 0.0]]), np.array([np.nan]), ShapeError, "vector contains NaN"),
+            (np.array([[np.inf, 0.0]]), bad_b, ShapeError, "rows"),
+            (np.array([[np.inf, 0.0]]), np.array([NEG]), ValueError, "right-hand side"),
+            (np.array([[np.inf, -1e308]]), np.array([1e308]), ValueError, "R ∪ {-inf}"),
+            (np.array([[NEG, -1e308]]), np.array([1e308]), ValueError, "overflows"),
+        ]
+        for A, b, kind, words in cases:
+            got = outcome(principal_solution, A, b)
+            assert got[0] is kind and words in got[1], (A, b, got)
+            assert got == outcome(reference_principal_solution, A, b)
+
+
 class TestProjection:
     def test_restricts(self):
         out = project_on_support(XHAT_REF, [2])
@@ -201,8 +293,19 @@ class TestProjection:
     def test_support_intersection(self):
         v = np.array([1.0, NEG, 2.0, NEG])
         out = project_on_support(v, [0, 1, 3])
-        assert set(support(out)) == set(support(v)) & {0, 1, 3}
+        assert set(reference_support(out)) == set(reference_support(v)) & {0, 1, 3}
 
 
 def test_support_indices():
-    assert support(np.array([NEG, 0.0, NEG, -4.0])).tolist() == [1, 3]
+    assert reference_support(np.array([NEG, 0.0, NEG, -4.0])).tolist() == [1, 3]
+
+
+def test_every_exported_name_resolves():
+    # __main__ runs the CLI on import, and exports nothing
+    names = ["tropfit"] + [f"tropfit.{m.name}" for m in pkgutil.iter_modules(tropfit.__path__)]
+    names.remove("tropfit.__main__")
+    exported = {name: importlib.import_module(name) for name in names}
+    exported = {name: module for name, module in exported.items() if hasattr(module, "__all__")}
+    assert {"tropfit", "tropfit.tropical", "tropfit.solver", "tropfit.regression", "tropfit.io_formats"} <= set(exported)
+    for name, module in exported.items():
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
