@@ -10,8 +10,12 @@ Every line written ends in a bare newline.  Models, solve reports and run
 summaries are strict JSON with infinities as the same tokens, as is the
 one-line ``config: {...}`` echo that tables and CSV outputs start with.
 
+The loaders read a file a line at a time, through the same row parser as
+the ``parse_*`` functions on a whole text, and hold only the packed values:
+a matrix load peaks near the matrix's own size, not at its text's.
+
 Malformed input raises ParseError with the offending position; no other
-exception type escapes a parser.
+exception type escapes a parser or a loader, undecodable bytes included.
 """
 
 from __future__ import annotations
@@ -93,10 +97,16 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     return v
 
 
-def _split_rows(text: str) -> tuple[Iterator[tuple[int, str]], tuple[int, int] | None]:
+def _nonblank(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each line of ``lines`` that is not all blanks, lazily,
+    numbered from 1 among all of them; the test copies no line."""
+    return ((i, ln) for i, ln in enumerate(lines, 1) if ln and not ln.isspace())
+
+
+def _split_rows(lines: Iterable[str]) -> tuple[Iterator[tuple[int, str]], tuple[int, int] | None]:
     """Non-empty (lineno, line) pairs, lazily, plus the `# m n` header shape, if any."""
-    lines = ((i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip())
-    first = next(lines, None)
+    rows = _nonblank(lines)
+    first = next(rows, None)
     if first is None:
         raise ParseError("empty document")
     declared = None
@@ -109,10 +119,10 @@ def _split_rows(text: str) -> tuple[Iterator[tuple[int, str]], tuple[int, int] |
                 raise ValueError
         except (ValueError, IndexError):
             raise ParseError("header must be '# m n'", lineno) from None
-        first = next(lines, None)
+        first = next(rows, None)
         if first is None:
             raise ParseError("document has a header but no rows")
-    return itertools.chain([first], lines), declared
+    return itertools.chain([first], rows), declared
 
 
 def _parse_row(cells: list[str], lineno: int) -> list[float]:
@@ -157,23 +167,52 @@ def _parse_table(lines: Iterable[tuple[int, str]], finite: bool = False) -> np.n
     return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Matrix from the CSV dialect; rows must be rectangular."""
-    lines, declared = _split_rows(text)
-    mat = _parse_table(lines)
+def _matrix(lines: Iterable[str]) -> np.ndarray:
+    """The matrix that ``lines`` hold: the core of parse_matrix and load_matrix."""
+    rows, declared = _split_rows(lines)
+    mat = _parse_table(rows)
     if declared is not None and declared != mat.shape:
         raise ParseError(f"header declares {declared[0]}x{declared[1]} but data is {mat.shape[0]}x{mat.shape[1]}")
     return mat
 
 
-def parse_vector(text: str) -> np.ndarray:
-    """Vector: one value per line, or a single comma-separated line."""
-    mat = parse_matrix(text)
+def _vector(lines: Iterable[str]) -> np.ndarray:
+    mat = _matrix(lines)
     if mat.shape[1] == 1:
         return mat[:, 0].copy()
     if mat.shape[0] == 1:
         return mat[0].copy()
     raise ParseError(f"expected a vector, got a {mat.shape[0]}x{mat.shape[1]} matrix")
+
+
+def _dataset(lines: Iterable[str]) -> Dataset:
+    rows = _nonblank(lines)
+    first = next(rows, None)
+    while first is not None and first[1].lstrip().startswith("#"):
+        first = next(rows, None)
+    if first is None:
+        raise ParseError("empty document")
+    try:
+        for j, cell in enumerate(first[1].split(",")):
+            _parse_cell(cell, first[0], j + 1)
+    except ParseError:
+        first = next(rows, None)  # the first line was a column header
+        if first is None:
+            raise ParseError("dataset has a header but no rows") from None
+    if len(first[1].split(",")) < 2:
+        raise ParseError("dataset needs at least one feature column and a target", first[0])
+    arr = _parse_table(itertools.chain([first], rows), finite=True)
+    return Dataset(arr[:, :-1], arr[:, -1])
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Matrix from the CSV dialect; rows must be rectangular."""
+    return _matrix(text.splitlines())
+
+
+def parse_vector(text: str) -> np.ndarray:
+    """Vector: one value per line, or a single comma-separated line."""
+    return _vector(text.splitlines())
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -182,22 +221,7 @@ def parse_dataset(text: str) -> Dataset:
     Leading '#' lines are comments.  A first data line that does not parse
     as numbers is taken as a column header and skipped.
     """
-    lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    while lines and lines[0][1].lstrip().startswith("#"):
-        lines = lines[1:]
-    if not lines:
-        raise ParseError("empty document")
-    first_cells = lines[0][1].split(",")
-    try:
-        [_parse_cell(c, lines[0][0], j + 1) for j, c in enumerate(first_cells)]
-    except ParseError:
-        lines = lines[1:]
-        if not lines:
-            raise ParseError("dataset has a header but no rows") from None
-    if len(lines[0][1].split(",")) < 2:
-        raise ParseError("dataset needs at least one feature column and a target", lines[0][0])
-    arr = _parse_table(lines, finite=True)
-    return Dataset(arr[:, :-1], arr[:, -1])
+    return _dataset(text.splitlines())
 
 
 def _write_rows(rows: Iterable[list], head: str | None = None) -> str:
@@ -483,20 +507,40 @@ def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str
     return PlotRenderer(data, comment)(predicted)
 
 
+def _read(path, parse):
+    """``parse`` of the open text file at ``path``; undecodable bytes are a
+    ParseError with no row, as the decoder reads ahead of the parse by a chunk."""
+    try:
+        with open(path) as fh:
+            return parse(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not {exc.encoding} text: {exc.reason}") from None
+
+
+def _lines(fh: Iterable[str]) -> Iterator[str]:
+    """The lines of ``read_text().splitlines()``, a file line at a time.
+
+    The file object splits at universal newlines, having turned CR LF and
+    CR into LF, and str.splitlines splits each of its lines at the other
+    boundaries str.splitlines knows (VT, FF, FS, GS, RS, NEL, LS, PS).
+    """
+    return itertools.chain.from_iterable(map(str.splitlines, fh))
+
+
 def load_matrix(path) -> np.ndarray:
-    return parse_matrix(Path(path).read_text())
+    return _read(path, lambda fh: _matrix(_lines(fh)))
 
 
 def load_vector(path) -> np.ndarray:
-    return parse_vector(Path(path).read_text())
+    return _read(path, lambda fh: _vector(_lines(fh)))
 
 
 def load_dataset(path) -> Dataset:
-    return parse_dataset(Path(path).read_text())
+    return _read(path, lambda fh: _dataset(_lines(fh)))
 
 
 def load_model(path) -> PwlModel:
-    return parse_model(Path(path).read_text())
+    return _read(path, lambda fh: parse_model(fh.read()))
 
 
 def save_text(path, text: str) -> None:

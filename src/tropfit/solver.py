@@ -680,10 +680,12 @@ def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
 
 
 def smmae_lift(sgle: SparseSolution) -> SparseSolution:
-    """Shift every finite coordinate up by half the max residual.
+    """Shift every finite coordinate up by h = fl(e / 2), half the max residual e.
 
     The shifted vector is the minimum-max-absolute-error solution on the same
-    support: its l-infinity error is exactly half the input's.  With an empty
+    support: its l-infinity error is exactly e / 2 wherever e / 2 is a float.
+    At an odd number of 2^-1074 units no float is e / 2, and the error is
+    max(h, e - h), one unit above fl(e / 2) or at it.  With an empty
     support there is nothing to shift and the solution is returned with only
     the estimator label changed.
     """

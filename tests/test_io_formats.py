@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ from tropfit.io_formats import (
     _num_in,
     _parse_cell,
     _split_rows,
+    load_dataset,
+    load_matrix,
+    load_model,
+    load_vector,
     parse_dataset,
     parse_matrix,
     parse_model,
@@ -116,7 +122,7 @@ class TestMatrixVector:
 
 def per_cell_parse_matrix(text):
     """Reference parser: every cell through _parse_cell, row by row."""
-    lines, declared = _split_rows(text)
+    lines, declared = _split_rows(text.splitlines())
     rows = []
     width = None
     for lineno, line in lines:
@@ -296,6 +302,120 @@ class TestDataset:
         assert text.startswith("# config")
         again = parse_dataset(text)
         assert np.array_equal(d.f, again.f)
+
+
+# Every line boundary str.splitlines knows, and CR LF.
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LOADERS = [(load_matrix, parse_matrix), (load_vector, parse_vector), (load_dataset, parse_dataset)]
+
+
+@st.composite
+def document_text(draw):
+    """CSV text on mixed line ends: rows of one width, mostly finite, with
+    inf tokens, bad cells, ragged rows, blank lines and headers among them."""
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.tuples(padding, finite_token, padding).map("".join),
+        cell_token,
+        st.sampled_from(["x", "nan", "", "1e400"]),
+    )
+    row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    other = st.one_of(
+        st.lists(cell, min_size=1, max_size=5).map(",".join),
+        st.sampled_from(["", " ", "\t ", "#", "# comment", "x,y,f"]),
+    )
+    lines = draw(st.lists(st.one_of(row, row, row, other), max_size=8))
+    if draw(st.booleans()):
+        lines.insert(0, f"# {len(lines)} {width}")
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return "".join(map(operator.add, lines, ends))
+
+
+@st.composite
+def damaged_bytes(draw):
+    """A document's UTF-8 bytes with a few random bytes put in somewhere."""
+    raw = draw(document_text()).encode()
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.binary(min_size=1, max_size=3)) + raw[at:]
+
+
+def load_outcome(fn, arg):
+    """A loader's or parser's value, bit for bit, or its ParseError with its position."""
+    try:
+        out = fn(arg)
+    except ParseError as exc:
+        return (str(exc), exc.row, exc.col)
+    if isinstance(out, Dataset):
+        return (out.x.shape, out.x.tobytes(), out.f.tobytes())
+    return (out.shape, out.tobytes())
+
+
+def assert_loaders_agree(path):
+    """Each loader on ``path`` equals its parser on ``path.read_text()``, and a
+    file that does not decode is a ParseError with no position (the files
+    here are shorter than the decoder's first chunk)."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        for load in (load_matrix, load_vector, load_dataset, load_model):
+            with pytest.raises(ParseError) as exc:
+                load(path)
+            assert (exc.value.row, exc.value.col) == (None, None)
+        return
+    for load, parse in LOADERS:
+        assert load_outcome(load, path) == load_outcome(parse, text)
+
+
+@pytest.fixture(scope="class")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaders") / "doc.csv"
+
+
+class TestStreamingLoaders:
+    @settings(max_examples=300, deadline=None)
+    @given(text=document_text())
+    def test_load_equals_parse_of_the_file_text(self, doc_path, text):
+        doc_path.write_bytes(text.encode("utf-8"))
+        assert_loaders_agree(doc_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=64), damaged_bytes()))
+    def test_random_bytes_raise_only_parse_error(self, doc_path, raw):
+        doc_path.write_bytes(raw)
+        assert_loaders_agree(doc_path)
+
+    def test_bad_bytes_past_the_first_chunk(self, tmp_path):
+        good = write_matrix(np.ones((4000, 3))).encode()
+        path = tmp_path / "A.csv"
+        path.write_bytes(good + b"1,\xff,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (exc.value.row, exc.value.col) == (None, None)
+        # a bad row before the bad bytes may be reported first
+        path.write_bytes(b"1,x,1\n" + good + b"\xff\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (exc.value.row, exc.value.col) == (1, 2)
+
+    def test_a_load_holds_the_matrix_once(self, tmp_path):
+        A = np.random.default_rng(0).normal(size=(400, 500))
+        text = write_matrix(A)
+        longest = max(map(len, text.splitlines()))
+        path = tmp_path / "A.csv"
+        path.write_text(text)
+        del text
+        tracemalloc.start()
+        try:
+            got = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == A.tobytes()
+        # the packed values, their growth slack, and a few lines' worth of
+        # cells: no copy of the file's text
+        assert peak <= 1.25 * A.nbytes + 8 * longest
 
 
 # Reference serializers: each writer's own formula, which the shared row

@@ -565,7 +565,41 @@ def path_instances(draw):
     return A, b, draw(st.sampled_from([1.0, 2.0, 5.0, 150.0, math.inf]))
 
 
+def assert_lift_attains_the_halving(sgle, smmae):
+    """The SMMAE's max error is the one a shift by h = fl(e / 2) attains.
+
+    With the SGLE residual in [lo, e], that is max(e - h, h - lo).  Where
+    the residual touches 0, as it does in exact arithmetic, it is
+    max(h, e - h): e / 2 wherever e / 2 is exact, and the larger part of e
+    at an odd number of 2^-1074 units, where no float is e / 2; there no
+    neighbouring float shift does better.
+    """
+    e, h = sgle.error_inf, 0.5 * sgle.error_inf
+    lo = float(sgle.residual.min())
+    assert smmae.error_inf == max(e - h, h - lo)
+    if lo == 0.0:
+        for shift in (np.nextafter(h, -np.inf), np.nextafter(h, np.inf)):
+            assert float(np.abs(sgle.residual - shift).max()) >= smmae.error_inf
+
+
+# Instances whose SGLE max error at p = 1 is an odd number of 2^-1074 units,
+# where no float is half of it; the hypothesis search found the first two.
+SUBNORMAL_HALVING_INSTANCES = [
+    (np.array([[NEG, 0.0], [0.0, 0.0]]), np.array([5e-324, 0.0])),
+    (np.array([[NEG, -5e-324], [0.0, 0.0]]), np.array([0.0, 0.0])),
+    # the residual stays above 0: fl(1 + fl(b_i - 1)) = 0 on both rows
+    (np.array([[1.0, NEG], [NEG, 1.0]]), np.array([1.5e-323, 1.5e-323])),
+]
+
+
 class TestGreedyPath:
+    @pytest.mark.parametrize("A, b", SUBNORMAL_HALVING_INSTANCES)
+    def test_subnormal_halving(self, A, b):
+        full = GreedyState(A, b).full_support_norm(1.0)
+        sgle = greedy_sparse_solve(FitProblem(A, b, p=1.0, theta=full))
+        assert sgle.support and sgle.error_inf % 2.0**-1073 == 2.0**-1074
+        assert_lift_attains_the_halving(sgle, smmae_lift(sgle))
+
     @settings(max_examples=150, deadline=None)
     @given(path_instances(), st.data())
     def test_every_budget_equals_an_independent_solve(self, instance, data):
@@ -601,7 +635,7 @@ class TestGreedyPath:
                         assert (maxplus_product(A, sol.x) <= b + 1e-9).all()
                         sgle = sol
                     elif sol.support and math.isfinite(sgle.error_inf):
-                        assert sol.error_inf == 0.5 * sgle.error_inf  # the exact SMMAE halving
+                        assert_lift_attains_the_halving(sgle, sol)
 
     @settings(max_examples=100, deadline=None)
     @given(path_instances(), st.data())
