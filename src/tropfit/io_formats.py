@@ -509,10 +509,21 @@ def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str
 
 def _read(path, parse):
     """``parse`` of the open text file at ``path``; undecodable bytes are a
-    ParseError with no row, as the decoder reads ahead of the parse by a chunk."""
+    ParseError with no row, as the decoder reads ahead of the parse by a chunk.
+
+    The decoder holds back an incomplete sequence at a chunk's end until the
+    next read, so when a bad row is found in a file already read to its end,
+    the decode is finished first: a truncated last character is reported as
+    it would be by ``read_text()``.
+    """
     try:
         with open(path) as fh:
-            return parse(fh)
+            try:
+                return parse(fh)
+            except ParseError:
+                if not fh.buffer.peek(1):
+                    fh.read()
+                raise
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not {exc.encoding} text: {exc.reason}") from None
 

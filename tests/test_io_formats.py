@@ -386,6 +386,12 @@ class TestStreamingLoaders:
         doc_path.write_bytes(raw)
         assert_loaders_agree(doc_path)
 
+    def test_truncated_last_character_before_a_bad_row(self, tmp_path):
+        # the decoder holds back the lone lead byte until it reads EOF
+        path = tmp_path / "doc.csv"
+        path.write_bytes(b"1,2\nx,y\n\xc2")
+        assert_loaders_agree(path)
+
     def test_bad_bytes_past_the_first_chunk(self, tmp_path):
         good = write_matrix(np.ones((4000, 3))).encode()
         path = tmp_path / "A.csv"
