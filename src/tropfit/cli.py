@@ -121,8 +121,7 @@ def _fit_writer(data: Dataset, slopes: SlopeSet, config: dict):
 
 
 def _problem_from_args(args: argparse.Namespace, A=None, b=None) -> FitProblem:
-    p = math.inf if getattr(args, "norm_inf_greedy", False) else args.p
-    return FitProblem(A, b, p=p, theta=args.theta, epsilon=args.epsilon, estimator=args.estimator)
+    return FitProblem(A, b, p=args.p, theta=args.theta, epsilon=args.epsilon, estimator=args.estimator)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -141,6 +140,10 @@ def _slope_set(args: argparse.Namespace, data: Dataset) -> SlopeSet:
     ]
     if len(chosen) != 1:
         raise ValueError(f"exactly one slope source required, got {chosen or 'none'}")
+    if args.neighbors is not None and not args.gradient_slopes:
+        raise ValueError("--neighbors requires --gradient-slopes")
+    if args.grid_step is None and (args.grid_lo is not None or args.grid_hi is not None):
+        raise ValueError("--grid-lo and --grid-hi require --grid-step")
     if args.grid_step is not None:
         lo = _parse_float_list(args.grid_lo) if args.grid_lo else None
         hi = _parse_float_list(args.grid_hi) if args.grid_hi else None
@@ -217,11 +220,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         slope_count=slopes.size,
         slope_origin=slopes.origin,
     )
-    try:
-        model, s = _scored(fit(data, slopes, problem, seed=args.seed))
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+    model, s = _scored(fit(data, slopes, problem, seed=args.seed))
     _fit_writer(data, slopes, config)(out / "model.json", out / "fit_plot.csv", model)
     _write_table(
         out / "fit.csv",
@@ -260,7 +259,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     # p-major, so fit_path runs one greedy per norm order for all its budgets
     cells = [(p, val) for p in ps for val in budgets]
-    problems = [FitProblem(None, None, p=p, estimator=args.estimator, **{kind: val}) for p, val in cells]
+    problems = [FitProblem(p=p, estimator=args.estimator, **{kind: val}) for p, val in cells]
     p_label, label = _labeler(ps), _labeler(budgets)
     write_fit = _fit_writer(data, slopes, config)
     rows, lines = [], []
@@ -308,11 +307,11 @@ def _bench_trial(seed, m: int, n: int, delta: float, p: float) -> BenchRow:
     rng = np.random.default_rng(seed)
     A = rng.normal(0.0, 2.0, size=(m, n))
     b = rng.normal(0.0, 1.0, size=m)
-    trial = int(seed.spawn_key[-1]) if hasattr(seed, "spawn_key") else 0
+    trial = int(seed.spawn_key[-1])
     state = GreedyState(A, b)  # both arms run on one instance build
     try:
-        heur = GreedyPath(state, p).solve(FitProblem(None, None, p=p, theta=2.0 * delta, estimator="smmae"))
-        grd = GreedyPath(state, math.inf).solve(FitProblem(None, None, p=math.inf, theta=delta))
+        heur = GreedyPath(state, p).solve(FitProblem(p=p, theta=2.0 * delta, estimator="smmae"))
+        grd = GreedyPath(state, math.inf).solve(FitProblem(p=math.inf, theta=delta))
     except Infeasible:
         return BenchRow(trial, None, None, None, None, True)
     return BenchRow(
@@ -340,11 +339,8 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
     children = np.random.SeedSequence(seed).spawn(trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(lambda s: _bench_trial(s, m, n, delta, p), children))
-        else:
-            rows = [_bench_trial(s, m, n, delta, p) for s in children]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(lambda s: _bench_trial(s, m, n, delta, p), children))
     feasible = [r for r in rows if not r.infeasible]
     for row in feasible:
         if row.heuristic_error_inf > delta:
@@ -363,7 +359,7 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
 
 def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    m = n = PAPER_SCALE if args.paper_scale else args.size
+    m = n = args.size
     config = _config(args, threads=args.threads, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
     t0 = time.perf_counter()
     report = run_bench(args.trials, m, n, args.delta, args.p, args.seed, args.threads)
@@ -393,7 +389,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"({elapsed:.1f}s)"
     )
     if m < PAPER_SCALE:
-        print("note: support medians depend on instance size; paper-scale values need --paper-scale")
+        print(f"note: support medians depend on instance size; paper-scale values need --size {PAPER_SCALE}")
     return 0
 
 
@@ -446,7 +442,7 @@ def _check_example1() -> tuple[bool, str]:
     notes = []
     ok = True
     problems = [
-        FitProblem(None, None, p=1, theta=theta, estimator=estimator)
+        FitProblem(p=1, theta=theta, estimator=estimator)
         for theta in EXAMPLE1_P1
         for estimator in ("sgle", "smmae")
     ]
@@ -465,7 +461,7 @@ def _check_example1() -> tuple[bool, str]:
 def _check_example2() -> tuple[bool, str]:
     slopes = grid_slopes([-10.0, -10.0], [10.0, 10.0], 0.25)
     bound = 10 ** (8 / 150) / 2
-    problems = [FitProblem(None, None, p=150, epsilon=1e8, estimator=e) for e in ("sgle", "smmae")]
+    problems = [FitProblem(p=150, epsilon=1e8, estimator=e) for e in ("sgle", "smmae")]
     for seed in EXAMPLE2_SEEDS:
         data = example2_dataset(seed)
         sgle, smmae = fit_path(data, slopes, problems, seed=seed)
@@ -496,10 +492,10 @@ def _check_example3() -> tuple[bool, str]:
     def halvings():
         # fit_path reads this lazily: each next budget is drawn after the last fit
         eps = 1331.0
-        yield FitProblem(None, None, p=2, epsilon=eps)
+        yield FitProblem(p=2, epsilon=eps)
         while supports[-1] < 21 and eps > 1e-6:
             eps /= 2.0
-            yield FitProblem(None, None, p=2, epsilon=eps)
+            yield FitProblem(p=2, epsilon=eps)
 
     fits = fit_path(data, slopes, halvings(), seed=0)  # one greedy run at p = 2
     _, s = _scored(next(fits))
@@ -547,7 +543,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=float, default=1.0, help="norm order (>= 1; < 1 experimental)")
+    sub.add_argument(
+        "--p", type=float, default=1.0, help="norm order (>= 1; < 1 experimental; inf: l-infinity greedy, no guarantee)"
+    )
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", type=float, help="norm-domain error budget")
     group.add_argument("--epsilon", type=float, help="p-th-power error budget (theta = epsilon^(1/p))")
@@ -565,11 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("matrix", help="matrix CSV")
     solve.add_argument("vector", help="right-hand-side vector CSV")
     _add_problem_flags(solve)
-    solve.add_argument(
-        "--norm-inf-greedy",
-        action="store_true",
-        help="run the l-infinity greedy (comparison only, no guarantee)",
-    )
     _add_common(solve)
     solve.set_defaults(func=cmd_solve)
 
@@ -601,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subs.add_parser("bench", help="random-instance heuristic vs l-infinity greedy")
     bench.add_argument("--trials", type=int, default=100)
-    bench.add_argument("--size", type=int, default=DESK_SCALE, help="square instance size")
-    bench.add_argument("--paper-scale", action="store_true", help=f"use {PAPER_SCALE}x{PAPER_SCALE}")
+    bench.add_argument("--size", type=int, default=DESK_SCALE, help=f"square instance size (paper: {PAPER_SCALE})")
     bench.add_argument("--delta", type=float, default=2.5, help="target max-abs error")
     bench.add_argument("--p", type=float, default=150.0, help="norm order for the heuristic arm")
     bench.add_argument("--threads", type=int, default=1, help="trials run in parallel")

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -302,11 +302,13 @@ class FitProblem:
     them: greedy_sparse_solve and brute_force_oracle, the only readers, build
     a GreedyState, whose tropical.principal_solution raises for an invalid
     (A, b).  A problem for a GreedyPath or a fit, which ignore the data,
-    passes ``None, None``.
+    leaves them out: ``FitProblem(p=2, theta=1.0)``.  Every field after
+    ``b`` is keyword-only.
     """
 
-    A: np.ndarray | None
-    b: np.ndarray | None
+    A: np.ndarray | None = None
+    b: np.ndarray | None = None
+    _: KW_ONLY
     p: float
     theta: float | None = None
     epsilon: float | None = None
@@ -685,9 +687,13 @@ def smmae_lift(sgle: SparseSolution) -> SparseSolution:
     The shifted vector is the minimum-max-absolute-error solution on the same
     support: its l-infinity error is exactly e / 2 wherever e / 2 is a float.
     At an odd number of 2^-1074 units no float is e / 2, and the error is
-    max(h, e - h), one unit above fl(e / 2) or at it.  With an empty
-    support there is nothing to shift and the solution is returned with only
-    the estimator label changed.
+    max(h, e - h), one unit above fl(e / 2) or at it.  The reported residual
+    and errors are those of sgle.residual - h, the shift in exact arithmetic,
+    not recomputed from x: where |x_j| is far above h, x_j + h rounds back to
+    x_j.  So A = [[20, -inf], [-inf, 20]], b = [1e-300, 1e-300] reports
+    error_inf 5e-301 for an x, [-20, -20] as before, that leaves 1e-300.
+    With an empty support there is nothing to shift and the solution is
+    returned with only the estimator label changed.
     """
     if sgle.estimator != SGLE:
         raise ValueError("smmae_lift expects an SGLE solution")

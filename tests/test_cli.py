@@ -69,15 +69,21 @@ class TestSolve:
         assert main(["solve", str(a), str(b), "--p", "1", "--theta", "1e9", "--out", str(out)]) == 0
         assert np.isneginf(load_vector(out / "solution.csv")).all()
 
-    def test_norm_inf_greedy(self, worked_files, tmp_path):
+    @pytest.mark.parametrize("command", ["solve", "fit", "sweep"])
+    def test_norm_inf_greedy(self, worked_files, tmp_path, command):
+        # --p inf is the one spelling of the guarantee-free l-infinity greedy
         a, b = worked_files
         out = tmp_path / "run"
+        if command == "solve":
+            argv = ["solve", str(a), str(b)]
+        else:
+            main(["gen-example", "1", "--out", str(tmp_path)])
+            argv = [command, str(tmp_path / "example1.csv"), "--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "1"]
         with pytest.warns(UserWarning, match="no approximation guarantee"):
-            rc = main(
-                ["solve", str(a), str(b), "--norm-inf-greedy", "--theta", "0.5", "--out", str(out)]
-            )
+            rc = main([*argv, "--p", "inf", "--theta", "0.5", "--out", str(out)])
         assert rc == 0
-        assert parse_report((out / "report.json").read_text())["support"] == [2]
+        if command == "solve":
+            assert parse_report((out / "report.json").read_text())["support"] == [2]
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         a = tmp_path / "A.csv"
@@ -198,6 +204,25 @@ class TestFitAndSweep:
         )
         assert rc == 1
         assert "slope source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-step", "1", "--grid-lo", "-2", "--grid-hi", "2", "--neighbors", "4"], "--neighbors"),
+            (["--gradient-slopes", "--grid-lo", "-2"], "--grid-lo"),
+            (["--gradient-slopes", "--grid-hi", "2"], "--grid-hi"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_flags_of_an_unchosen_slope_source_are_refused(self, tmp_path, capsys, command, flags, message):
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main([command, str(tmp_path / "example1.csv"), *flags, "--p", "1", "--theta", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_sweep_table(self, tmp_path):
         main(["gen-example", "1", "--out", str(tmp_path)])
@@ -458,6 +483,29 @@ class TestBench:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "A.csv", "b.csv", "--theta", "1"], "--norm-inf-greedy"),
+            (["bench"], "--paper-scale"),
+        ],
+    )
+    def test_removed_aliases_are_refused(self, tmp_path, capsys, argv, flag):
+        # --p inf and --size 1000 are the one spelling of each
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "fit", "sweep", "bench", "repro", "gen-example"])
+def test_every_subcommand_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: tropfit {command}")
 
 
 def test_command_failing_before_its_first_write_leaves_no_out_directory(worked_files, tmp_path, capsys):

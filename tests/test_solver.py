@@ -460,6 +460,14 @@ class TestFitProblem:
         assert FitProblem(None, None, p=math.inf, epsilon=2.5).budget == 2.5
         assert FitProblem(None, None, p=3, epsilon=0.0).budget == 0.0
 
+    def test_budget_only_problem_needs_no_data(self):
+        # a problem for a GreedyPath or a fit leaves out A and b
+        short = FitProblem(p=2, epsilon=9.0, estimator="smmae")
+        assert short == FitProblem(None, None, p=2, epsilon=9.0, estimator="smmae")
+        assert (short.A, short.b, short.budget) == (None, None, pytest.approx(3.0))
+        with pytest.raises(TypeError):
+            FitProblem(A_REF, B_REF, 1, 1.0)  # every field after b is keyword-only
+
     def test_quasi_norm_warns(self):
         with pytest.warns(UserWarning, match="quasi-norm"):
             FitProblem(None, None, p=0.3, theta=1.0)
