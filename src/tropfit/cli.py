@@ -165,8 +165,9 @@ def _slope_set(args: argparse.Namespace, data: Dataset) -> SlopeSet:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    A = io_formats.load_matrix(args.matrix)
+    # b first: a bad right-hand side fails before A's parse, not after it
     b = io_formats.load_vector(args.vector)
+    A = io_formats.load_matrix(args.matrix)
     problem = _problem_from_args(args, A, b)
     config = _config(
         args,

@@ -12,7 +12,16 @@ one-line ``config: {...}`` echo that tables and CSV outputs start with.
 
 The loaders read a file a line at a time, through the same row parser as
 the ``parse_*`` functions on a whole text, and hold only the packed values:
-a matrix load peaks near the matrix's own size, not at its text's.
+a matrix load peaks near the matrix's own size, not at its text's.  A UTF-8
+file of at least two ranges of 2 MiB, read with more than one usable CPU,
+is cut into one byte range per CPU (at most eight), each ending just after
+a newline byte.  This process reads the head, up to and including the
+first data row, which fixes the width, and parses the first range; a
+helper process running the stdlib-only row parser (``_rows``) parses each
+later range at the same time and sends back its values as raw doubles,
+which are appended in file order.  The first error in file order is the
+one raised, its row counted from the start of the file; a range whose
+helper fails is parsed here.  No helper outlives the load.
 
 Malformed input raises ParseError with the offending position; no other
 exception type escapes a parser or a loader, undecodable bytes included.
@@ -21,17 +30,28 @@ exception type escapes a parser or a loader, undecodable bytes included.
 from __future__ import annotations
 
 import array
+import bisect
+import codecs
+import functools
 import itertools
 import json
 import math
 import operator
+import os
+import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _rows
+from ._rows import ParseError
 from .regression import Dataset, PwlModel
 from .solver import SparseSolution
+
+if TYPE_CHECKING:
+    import subprocess
 
 __all__ = [
     "ParseError",
@@ -59,53 +79,9 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
-    """Malformed document; carries the 1-based row/column when known."""
-
-    def __init__(self, message: str, row: int | None = None, col: int | None = None):
-        self.row = row
-        self.col = col
-        if row is not None:
-            where = f" at row {row}" + (f" col {col}" if col is not None else "")
-            message = message + where
-        super().__init__(message)
-
-
-def _inf_token(text: str) -> float | None:
-    """The infinity an inf token spells (any casing, surrounding blanks,
-    an optional '+'), or None for any other text."""
-    low = text.strip().lower()
-    if low == "-inf":
-        return -math.inf
-    if low in ("inf", "+inf"):
-        return math.inf
-    return None
-
-
-def _parse_cell(token: str, row: int, col: int) -> float:
-    t = token.strip()
-    inf = _inf_token(t)
-    if inf is not None:
-        return inf
-    try:
-        v = float(t)
-    except ValueError:
-        raise ParseError(f"cannot parse cell {t!r}", row, col) from None
-    if math.isnan(v) or math.isinf(v):
-        # rejects 'nan', alternate infinity spellings, and overflowing literals
-        raise ParseError(f"cell {t!r} is not a finite number or inf token", row, col)
-    return v
-
-
-def _nonblank(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(lineno, line) for each line of ``lines`` that is not all blanks, lazily,
-    numbered from 1 among all of them; the test copies no line."""
-    return ((i, ln) for i, ln in enumerate(lines, 1) if ln and not ln.isspace())
-
-
 def _split_rows(lines: Iterable[str]) -> tuple[Iterator[tuple[int, str]], tuple[int, int] | None]:
     """Non-empty (lineno, line) pairs, lazily, plus the `# m n` header shape, if any."""
-    rows = _nonblank(lines)
+    rows = _rows.nonblank(lines)
     first = next(rows, None)
     if first is None:
         raise ParseError("empty document")
@@ -125,59 +101,41 @@ def _split_rows(lines: Iterable[str]) -> tuple[Iterator[tuple[int, str]], tuple[
     return itertools.chain([first], rows), declared
 
 
-def _parse_row(cells: list[str], lineno: int) -> list[float]:
-    """One row's values: ``float`` on every cell, and the per-cell parser
-    for a row where that raises or yields a non-finite value.
-
-    A finite ``float(cell)`` equals ``_parse_cell(cell)``, so the per-cell
-    parser alone decides the inf tokens and every error and its position.
-    """
-    try:
-        vals = list(map(float, cells))
-    except ValueError:
-        vals = None
-    # a sum is finite only when every term is; a finite row whose sum
-    # overflows merely takes the per-cell path
-    if vals is None or not math.isfinite(sum(vals)):
-        vals = [_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)]
-    return vals
+def _width(rows: Iterator[tuple[int, str]]) -> tuple[int, Iterator[tuple[int, str]]]:
+    """The cell count of the first of ``rows``, which must have one, and the rows."""
+    first = next(rows)
+    return len(first[1].split(",")), itertools.chain([first], rows)
 
 
-def _parse_table(lines: Iterable[tuple[int, str]], finite: bool = False) -> np.ndarray:
-    """Rows of one width through the row fast path, as a 2-D array.
-
-    Rows are split and converted one at a time into a packed buffer, so no
-    array is sized before every row's width has been checked.  With
-    ``finite`` an inf value is an error at its cell.
-    """
-    values = array.array("d")
-    width = None
-    for lineno, line in lines:
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
-        vals = _parse_row(cells, lineno)
-        if finite and not math.isfinite(sum(vals)):
-            for j, v in enumerate(vals):
-                if math.isinf(v):
-                    raise ParseError("dataset values must be finite", lineno, j + 1)
-        values.extend(vals)
+def _packed(values: array.array, width: int) -> np.ndarray:
     return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
-def _matrix(lines: Iterable[str]) -> np.ndarray:
-    """The matrix that ``lines`` hold: the core of parse_matrix and load_matrix."""
+def _table(rows: Iterator[tuple[int, str]], finite: bool) -> np.ndarray:
+    """Rows of the first row's width, as a 2-D array.
+
+    Rows are converted one at a time into a packed buffer, so no array is
+    sized before every row's width has been checked.  With ``finite`` an
+    inf value is an error at its cell.
+    """
+    width, rows = _width(rows)
+    values = array.array("d")
+    _rows.parse_table(rows, width, finite, values)
+    return _packed(values, width)
+
+
+def _matrix(lines: Iterable[str], table=_table) -> np.ndarray:
+    """The matrix that ``lines`` hold, its rows parsed by ``table``: the core
+    of parse_matrix and load_matrix."""
     rows, declared = _split_rows(lines)
-    mat = _parse_table(rows)
+    mat = table(rows, False)
     if declared is not None and declared != mat.shape:
         raise ParseError(f"header declares {declared[0]}x{declared[1]} but data is {mat.shape[0]}x{mat.shape[1]}")
     return mat
 
 
-def _vector(lines: Iterable[str]) -> np.ndarray:
-    mat = _matrix(lines)
+def _vector(lines: Iterable[str], table=_table) -> np.ndarray:
+    mat = _matrix(lines, table)
     if mat.shape[1] == 1:
         return mat[:, 0].copy()
     if mat.shape[0] == 1:
@@ -185,8 +143,8 @@ def _vector(lines: Iterable[str]) -> np.ndarray:
     raise ParseError(f"expected a vector, got a {mat.shape[0]}x{mat.shape[1]} matrix")
 
 
-def _dataset(lines: Iterable[str]) -> Dataset:
-    rows = _nonblank(lines)
+def _dataset(lines: Iterable[str], table=_table) -> Dataset:
+    rows = _rows.nonblank(lines)
     first = next(rows, None)
     while first is not None and first[1].lstrip().startswith("#"):
         first = next(rows, None)
@@ -194,14 +152,14 @@ def _dataset(lines: Iterable[str]) -> Dataset:
         raise ParseError("empty document")
     try:
         for j, cell in enumerate(first[1].split(",")):
-            _parse_cell(cell, first[0], j + 1)
+            _rows.parse_cell(cell, first[0], j + 1)
     except ParseError:
         first = next(rows, None)  # the first line was a column header
         if first is None:
             raise ParseError("dataset has a header but no rows") from None
     if len(first[1].split(",")) < 2:
         raise ParseError("dataset needs at least one feature column and a target", first[0])
-    arr = _parse_table(itertools.chain([first], rows), finite=True)
+    arr = table(itertools.chain([first], rows), True)
     return Dataset(arr[:, :-1], arr[:, -1])
 
 
@@ -348,7 +306,7 @@ def _num_in(v, key: str, allow_none: bool = False) -> float | None:
     if v is None and allow_none:
         return None
     if isinstance(v, str):
-        inf = _inf_token(v)
+        inf = _rows.inf_token(v)
         if inf is None:
             raise ParseError(f"key {key!r}: bad numeric token {v!r}")
         return inf
@@ -509,12 +467,16 @@ def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str
 
 def _read(path, parse):
     """``parse`` of the open text file at ``path``; undecodable bytes are a
-    ParseError with no row, as the decoder reads ahead of the parse by a chunk.
+    ParseError with no row.
 
+    A file read through the text layer is decoded ahead of the parse by a
+    chunk, so its bytes may be refused before an earlier bad row is found.
     The decoder holds back an incomplete sequence at a chunk's end until the
     next read, so when a bad row is found in a file already read to its end,
     the decode is finished first: a truncated last character is reported as
-    it would be by ``read_text()``.
+    it would be by ``read_text()``.  A file read in ranges (see _load) is
+    decoded a line at a time, so its first error in file order is reported,
+    whether a bad row or bytes that do not decode.
     """
     try:
         with open(path) as fh:
@@ -525,7 +487,7 @@ def _read(path, parse):
                     fh.read()
                 raise
     except UnicodeDecodeError as exc:
-        raise ParseError(f"file is not {exc.encoding} text: {exc.reason}") from None
+        raise _rows.not_text(exc) from None
 
 
 def _lines(fh: Iterable[str]) -> Iterator[str]:
@@ -538,16 +500,170 @@ def _lines(fh: Iterable[str]) -> Iterator[str]:
     return itertools.chain.from_iterable(map(str.splitlines, fh))
 
 
+# A file is cut into one range per usable CPU, at most _MAX_RANGES, of at
+# least _RANGE_BYTES each: below that a helper's start-up, about 15 ms,
+# costs more than its share of the parse saves.  Bytes are read from a
+# helper's pipe, and scanned for a line end, _BLOCK_BYTES at a time.
+_RANGE_BYTES = 2 << 20
+_MAX_RANGES = 8
+_BLOCK_BYTES = 1 << 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _line_start(fh, at: int) -> int:
+    """The first position from ``at`` (> 0) on that follows a ``\\n`` byte
+    of the binary file ``fh``, or the file's end."""
+    pos = fh.seek(at - 1)
+    while block := fh.read(_BLOCK_BYTES):
+        end = block.find(b"\n")
+        if end >= 0:
+            return pos + end + 1
+        pos += len(block)
+    return pos
+
+
+def _bounds(fh) -> list[int]:
+    """Byte offsets that cut the open text file ``fh`` into ranges: 0, the
+    line start that begins each later range, and the file's size.
+
+    Only a UTF-8 file is cut, since there a ``\\n`` byte ends a line
+    whatever precedes it; a file with fewer than two ranges is [0, size].
+    """
+    size = os.fstat(fh.fileno()).st_size
+    count = min(_usable_cpus(), _MAX_RANGES, size // _RANGE_BYTES)
+    if count < 2 or codecs.lookup(fh.encoding).name != "utf-8":
+        return [0, size]
+    cuts = {_line_start(fh.buffer, size * k // count) for k in range(1, count)}
+    fh.buffer.seek(0)
+    return [0, *sorted(cuts - {size}), size]
+
+
+def _below(exc: ParseError, lines: int) -> ParseError:
+    """A range's error ``exc``, its row counted from the start of the file,
+    which has ``lines`` lines before the range."""
+    return ParseError(exc.reason, None if exc.row is None else exc.row + lines, exc.col)
+
+
+def _spawn(path, start: int, stop: int, width: int, finite: bool) -> subprocess.Popen | None:
+    """A helper process that parses the rows from byte ``start`` to ``stop``
+    of the file at ``path``, or None when none could start."""
+    # imported here, so that `import tropfit` and a load of a small file go
+    # without subprocess's modules: about 6 ms and 0.5 MB
+    import subprocess
+
+    argv = [sys.executable, "-I", "-S", _rows.__file__, path, str(start), str(stop), str(width), str(int(finite))]
+    try:
+        return subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    except OSError:
+        return None
+
+
+def _receive(helper: subprocess.Popen | None, values: array.array, lines: int) -> int | None:
+    """The line count of a helper's range, whose values are appended to
+    ``values``; the ParseError the helper found is raised, after ``lines``
+    lines.  None, with ``values`` as it was, for a helper that did not
+    start, sent a short stream or exited non-zero."""
+    if helper is None:
+        return None
+    out = helper.stdout
+    head = out.read(_rows.HEAD.size)
+    if len(head) != _rows.HEAD.size:
+        return None
+    count, size, row, col, length = _rows.HEAD.unpack(head)
+    mark = len(values)
+    if size < 0:
+        reason = out.read(length)
+        whole = len(reason) == length
+    else:
+        while len(values) - mark < size:
+            want = min(_BLOCK_BYTES, (size - len(values) + mark) * values.itemsize)
+            chunk = out.read(want)
+            if len(chunk) != want:
+                break
+            values.frombytes(chunk)
+        whole = len(values) - mark == size
+    out.close()  # a helper that writes more than it declared fails, not blocks
+    if helper.wait() != 0 or not whole:
+        del values[mark:]
+        return None
+    if size < 0:
+        raise _below(ParseError(reason.decode("utf-8", "replace"), row or None, col or None), lines)
+    return count
+
+
+def _ranged_table(lines: _rows.Lines, bounds: list[int], rows: Iterator[tuple[int, str]], finite: bool) -> np.ndarray:
+    """_table of ``rows``, the rows of ``lines`` after the head, parsed in
+    the byte ranges between ``bounds`` at the same time.
+
+    This process parses ``rows`` up to the first bound after the head, while
+    a helper process parses each later range; a range whose helper fails is
+    parsed here.  The values are appended in file order, and the first error
+    in file order is raised.  Every helper has exited when this returns or
+    raises.
+    """
+    width, rows = _width(rows)
+    first = min(bisect.bisect_left(bounds, lines.pos), len(bounds) - 1)
+    lines.stop = bounds[first]
+    ranges = list(itertools.pairwise(bounds[first:]))
+    values = array.array("d")
+    helpers: list[subprocess.Popen | None] = []
+    try:
+        for start, stop in ranges:
+            helpers.append(_spawn(lines.fh.name, start, stop, width, finite))
+        _rows.parse_table(rows, width, finite, values)
+        before = lines.count
+        for helper, (start, stop) in zip(helpers, ranges):
+            count = _receive(helper, values, before)
+            if count is None:
+                try:
+                    count = _rows.parse_range(lines.fh, start, stop, width, finite, values)
+                except ParseError as exc:
+                    raise _below(exc, before) from None
+            before += count
+    finally:
+        for helper in helpers:
+            if helper is not None:
+                helper.kill()
+                helper.wait()
+                helper.stdout.close()
+    return _packed(values, width)
+
+
+def _load(path, parse):
+    """``parse(lines, table)`` of the CSV file at ``path``.
+
+    A file smaller than two ranges, or read on one CPU, is read a line at a
+    time through the text layer.  A larger one is read as bytes: the head,
+    up to and including the first data row, here, and the rest in ranges by
+    _ranged_table.
+    """
+
+    def run(fh):
+        bounds = _bounds(fh)
+        if len(bounds) < 3:
+            return parse(_lines(fh), _table)
+        lines = _rows.Lines(fh.buffer, bounds[-1])
+        return parse(lines, functools.partial(_ranged_table, lines, bounds))
+
+    return _read(path, run)
+
+
 def load_matrix(path) -> np.ndarray:
-    return _read(path, lambda fh: _matrix(_lines(fh)))
+    return _load(path, _matrix)
 
 
 def load_vector(path) -> np.ndarray:
-    return _read(path, lambda fh: _vector(_lines(fh)))
+    return _load(path, _vector)
 
 
 def load_dataset(path) -> Dataset:
-    return _read(path, lambda fh: _dataset(_lines(fh)))
+    return _load(path, _dataset)
 
 
 def load_model(path) -> PwlModel:

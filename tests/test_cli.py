@@ -17,13 +17,16 @@ from tropfit.cli import (
     main,
     run_bench,
 )
+from tropfit import io_formats
 from tropfit.io_formats import (
     load_dataset,
     load_model,
     load_vector,
     parse_report,
+    write_matrix,
     write_model,
     write_plot_data,
+    write_vector,
 )
 from tropfit.regression import evaluate
 
@@ -140,6 +143,43 @@ class TestSolve:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["solve", "nope.csv", "also-nope.csv", "--p", "1", "--theta", "1", "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_the_right_hand_side_is_read_first(self, tmp_path, capsys):
+        # with both files bad, b's error is the one printed
+        a = tmp_path / "A.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,x\n")
+        b.write_text("1\ny\n")
+        rc = main(["solve", str(a), str(b), "--p", "1", "--theta", "1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot parse cell 'y' at row 2 col 1\n"
+
+    def test_a_solve_read_in_ranges_writes_the_same_files(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        A = rng.normal(0.0, 2.0, (60, 1000))
+        b = (A + rng.normal(0.0, 1.0, 1000)).max(axis=1)
+        a_path, b_path = tmp_path / "A.csv", tmp_path / "b.csv"
+        a_path.write_text(write_matrix(A))
+        b_path.write_text(write_vector(b))
+        out = tmp_path / "out"
+        argv = ["solve", str(a_path), str(b_path), "--p", "150", "--theta", "5", "--out", str(out)]
+        names = ["solution.csv", "report.json"]
+        assert main(argv) == 0
+        serial = [(out / name).read_bytes() for name in names]
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        monkeypatch.setattr(io_formats, "_RANGE_BYTES", 4096)
+        monkeypatch.setattr(io_formats, "_usable_cpus", lambda: 4)
+        assert main(argv) == 0
+        assert [(out / name).read_bytes() for name in names] == serial
+        assert len(started) == 3  # A's ranges; b is smaller than two
+        assert all(helper.returncode == 0 for helper in started)
 
 
 class TestFitAndSweep:

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import operator
+import os
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,6 @@ from tropfit.io_formats import (
     ParseError,
     PlotRenderer,
     _num_in,
-    _parse_cell,
     _split_rows,
     load_dataset,
     load_matrix,
@@ -37,6 +38,8 @@ from tropfit.io_formats import (
     write_table,
     write_vector,
 )
+from tropfit import io_formats
+from tropfit._rows import parse_cell
 from tropfit.regression import Dataset, PwlModel
 from tropfit.solver import FitProblem, greedy_sparse_solve
 
@@ -121,7 +124,7 @@ class TestMatrixVector:
 
 
 def per_cell_parse_matrix(text):
-    """Reference parser: every cell through _parse_cell, row by row."""
+    """Reference parser: every cell through parse_cell, row by row."""
     lines, declared = _split_rows(text.splitlines())
     rows = []
     width = None
@@ -131,7 +134,7 @@ def per_cell_parse_matrix(text):
             width = len(cells)
         elif len(cells) != width:
             raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
-        rows.append([_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)])
+        rows.append([parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)])
     mat = np.array(rows, dtype=np.float64)
     if declared is not None and declared != mat.shape:
         raise ParseError(f"header declares {declared[0]}x{declared[1]} but data is {mat.shape[0]}x{mat.shape[1]}")
@@ -139,14 +142,14 @@ def per_cell_parse_matrix(text):
 
 
 def per_cell_parse_dataset(text):
-    """Reference dataset parser: every cell through _parse_cell, as one (x | f) array."""
+    """Reference dataset parser: every cell through parse_cell, as one (x | f) array."""
     lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     while lines and lines[0][1].lstrip().startswith("#"):
         lines = lines[1:]
     if not lines:
         raise ParseError("empty document")
     try:
-        [_parse_cell(c, lines[0][0], j + 1) for j, c in enumerate(lines[0][1].split(","))]
+        [parse_cell(c, lines[0][0], j + 1) for j, c in enumerate(lines[0][1].split(","))]
     except ParseError:
         lines = lines[1:]
         if not lines:
@@ -161,7 +164,7 @@ def per_cell_parse_dataset(text):
                 raise ParseError("dataset needs at least one feature column and a target", lineno)
         elif len(cells) != width:
             raise ParseError(f"expected {width} cells, found {len(cells)}", lineno)
-        vals = [_parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)]
+        vals = [parse_cell(c, lineno, j + 1) for j, c in enumerate(cells)]
         for j, v in enumerate(vals):
             if math.isinf(v):
                 raise ParseError("dataset values must be finite", lineno, j + 1)
@@ -310,7 +313,7 @@ LOADERS = [(load_matrix, parse_matrix), (load_vector, parse_vector), (load_datas
 
 
 @st.composite
-def document_text(draw):
+def document_text(draw, ends=st.sampled_from(LINE_ENDS), max_lines=8):
     """CSV text on mixed line ends: rows of one width, mostly finite, with
     inf tokens, bad cells, ragged rows, blank lines and headers among them."""
     width = draw(st.integers(1, 4))
@@ -324,19 +327,19 @@ def document_text(draw):
         st.lists(cell, min_size=1, max_size=5).map(",".join),
         st.sampled_from(["", " ", "\t ", "#", "# comment", "x,y,f"]),
     )
-    lines = draw(st.lists(st.one_of(row, row, row, other), max_size=8))
+    lines = draw(st.lists(st.one_of(row, row, row, other), max_size=max_lines))
     if draw(st.booleans()):
         lines.insert(0, f"# {len(lines)} {width}")
-    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    ends = [draw(ends) for _ in lines]
     if ends and draw(st.booleans()):
         ends[-1] = ""  # no final newline
     return "".join(map(operator.add, lines, ends))
 
 
 @st.composite
-def damaged_bytes(draw):
+def damaged_bytes(draw, document=document_text()):
     """A document's UTF-8 bytes with a few random bytes put in somewhere."""
-    raw = draw(document_text()).encode()
+    raw = draw(document).encode()
     at = draw(st.integers(0, len(raw)))
     return raw[:at] + draw(st.binary(min_size=1, max_size=3)) + raw[at:]
 
@@ -421,6 +424,185 @@ class TestStreamingLoaders:
         assert got.tobytes() == A.tobytes()
         # the packed values, their growth slack, and a few lines' worth of
         # cells: no copy of the file's text
+        assert peak <= 1.25 * A.nbytes + 8 * longest
+
+
+# Line ends weighted to the newline byte that a range ends after, so that
+# short documents are cut into several ranges.
+RANGED_ENDS = st.sampled_from(["\n"] * 8 + ["\r\n"] * 3 + LINE_ENDS)
+
+
+@pytest.fixture(scope="class")
+def ranged():
+    """Loads that cut every file of two bytes or more into up to eight ranges."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_formats, "_RANGE_BYTES", 1)
+        patch.setattr(io_formats, "_usable_cpus", lambda: 8)
+        yield
+
+
+def assert_ranged_loaders_agree(path):
+    """Each loader on ``path`` equals its parser on ``path.read_text()``, and a
+    file that does not decode is a ParseError, at the first bad row or bad
+    bytes of its ranges."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        for load, _ in LOADERS:
+            with pytest.raises(ParseError):
+                load(path)
+        return
+    for load, parse in LOADERS:
+        assert load_outcome(load, path) == load_outcome(parse, text)
+
+
+@pytest.mark.usefixtures("ranged")
+class TestRangedLoaders:
+    @settings(max_examples=100, deadline=None)
+    @given(text=document_text(RANGED_ENDS, max_lines=16))
+    def test_load_equals_parse_of_the_file_text(self, doc_path, text):
+        doc_path.write_bytes(text.encode("utf-8"))
+        assert_ranged_loaders_agree(doc_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=damaged_bytes(document_text(RANGED_ENDS, max_lines=16)))
+    def test_random_bytes_raise_only_parse_error(self, doc_path, raw):
+        doc_path.write_bytes(raw)
+        assert_ranged_loaders_agree(doc_path)
+
+
+class Helpers(list):
+    """The helper processes that loads started; ``argv`` maps the command
+    each was asked to run to the one it runs."""
+
+    @staticmethod
+    def argv(command):
+        return command
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper process started, with loads cutting a file into four ranges."""
+    started = Helpers()
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            super().__init__(started.argv(args), **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(io_formats, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(io_formats, "_usable_cpus", lambda: 4)
+    return started
+
+
+# A helper that runs the row parser but sends only the first half of what it writes.
+HALF_STREAM = """
+import io, sys, types
+sys.path.insert(0, sys.argv[1])
+import _rows
+stdout, sys.stdout = sys.stdout, types.SimpleNamespace(buffer=io.BytesIO())
+_rows.main(sys.argv[2:])
+sent = sys.stdout.buffer.getvalue()
+stdout.buffer.write(sent[: len(sent) // 2])
+"""
+FAILED_HELPERS = {
+    "exits 1": lambda command: [command[0], "-c", "raise SystemExit(1)"],
+    "writes half a stream": lambda command: [command[0], "-c", HALF_STREAM, os.path.dirname(command[3]), *command[4:]],
+    "cannot start": lambda command: [os.devnull, *command[1:]],
+}
+
+
+def table_text(rows=40, width=6, bad=()):
+    """A matrix's text, with an unparsable cell at each 1-based row in ``bad``."""
+    lines = write_matrix(np.random.default_rng(rows).normal(size=(rows, width))).splitlines()
+    for row in bad:
+        lines[row - 1] = ",".join(["x", *lines[row - 1].split(",")[1:]])
+    return "\n".join(lines) + "\n"
+
+
+class TestRangedLoadHelpers:
+    @pytest.mark.parametrize("bad", [(), (2,), (38,), (20, 38)], ids=["clean", "first range", "helper", "two helpers"])
+    def test_every_helper_has_exited_when_a_load_returns(self, tmp_path, helpers, bad):
+        path = tmp_path / "A.csv"
+        path.write_text(table_text(bad=bad))
+        for load, parse in LOADERS[::2]:  # the table as a matrix and a dataset
+            assert load_outcome(load, path) == load_outcome(parse, path.read_text())
+        assert len(helpers) == 6
+        assert all(helper.returncode is not None for helper in helpers)
+
+    def test_a_helper_checks_rows_against_the_first_rows_width(self, tmp_path, helpers):
+        # the first row is over a third of the file, so this process parses
+        # it alone, and each helper's range starts with a narrow row
+        narrow = table_text(30, 5)
+        path = tmp_path / "A.csv"
+        path.write_text("1,2,3,4,5," + "6".ljust(len(narrow)) + "\n" + narrow)
+        for load, parse in LOADERS[::2]:
+            assert load_outcome(load, path) == load_outcome(parse, path.read_text())
+        with pytest.raises(ParseError, match="expected 6 cells, found 5 at row 2$"):
+            load_matrix(path)
+        assert helpers and all(helper.returncode is not None for helper in helpers)
+
+    def test_an_interrupted_load_reaps_every_helper(self, tmp_path, helpers, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        path = tmp_path / "A.csv"
+        path.write_text(table_text())
+        monkeypatch.setattr(io_formats._rows, "parse_table", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_matrix(path)
+        assert len(helpers) == 3
+        assert all(helper.returncode is not None for helper in helpers)
+
+    @pytest.mark.parametrize("bad", [(), (38,)], ids=["clean", "helper"])
+    @pytest.mark.parametrize("failure", sorted(FAILED_HELPERS))
+    def test_a_failed_helper_range_is_parsed_here(self, tmp_path, helpers, failure, bad):
+        helpers.argv = FAILED_HELPERS[failure]
+        path = tmp_path / "A.csv"
+        path.write_text(table_text(bad=bad))
+        assert load_outcome(load_matrix, path) == load_outcome(parse_matrix, path.read_text())
+        assert all(helper.returncode is not None for helper in helpers)
+        if failure != "cannot start":
+            assert len(helpers) == 3
+
+    def test_a_long_column_loads_as_a_vector(self, tmp_path, helpers):
+        path = tmp_path / "b.csv"
+        path.write_text(table_text(rows=50, width=1, bad=(45,)))
+        assert load_outcome(load_vector, path) == load_outcome(parse_vector, path.read_text())
+        path.write_text(table_text(rows=50, width=1))
+        assert load_outcome(load_vector, path) == load_outcome(parse_vector, path.read_text())
+        assert len(helpers) == 6 and all(helper.returncode is not None for helper in helpers)
+
+    def test_one_cpu_or_a_small_file_starts_no_helper(self, tmp_path, helpers, monkeypatch):
+        path = tmp_path / "A.csv"
+        path.write_text(table_text())
+        monkeypatch.setattr(io_formats, "_usable_cpus", lambda: 1)
+        for load, parse in LOADERS[::2]:
+            assert load_outcome(load, path) == load_outcome(parse, path.read_text())
+        monkeypatch.setattr(io_formats, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(io_formats, "_RANGE_BYTES", path.stat().st_size // 2 + 1)
+        for load, parse in LOADERS[::2]:
+            assert load_outcome(load, path) == load_outcome(parse, path.read_text())
+        assert helpers == []
+
+    def test_a_ranged_load_holds_the_matrix_once(self, tmp_path, helpers):
+        A = np.random.default_rng(0).normal(size=(400, 500))
+        text = write_matrix(A)
+        longest = max(map(len, text.splitlines()))
+        path = tmp_path / "A.csv"
+        path.write_text(text)
+        del text
+        tracemalloc.start()
+        try:
+            got = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == A.tobytes()
+        assert len(helpers) == 3
+        # as test_a_load_holds_the_matrix_once: the helpers' values arrive
+        # a pipe's worth at a time
         assert peak <= 1.25 * A.nbytes + 8 * longest
 
 
@@ -628,7 +810,7 @@ class TestOneInfDecoder:
     @given(inf_tokens)
     def test_cell_and_json_decoders_agree_on_inf_tokens(self, token):
         want = -math.inf if token.strip().startswith("-") else math.inf
-        assert _parse_cell(token, 1, 1) == _num_in(token, "key") == want
+        assert parse_cell(token, 1, 1) == _num_in(token, "key") == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=" \t+-.0123456789eEiInNfFtyY", max_size=8))
@@ -638,7 +820,7 @@ class TestOneInfDecoder:
         except ParseError:
             json_value = None
         try:
-            cell_value = _parse_cell(text, 1, 1)
+            cell_value = parse_cell(text, 1, 1)
         except ParseError:
             cell_value = None
         if json_value is not None:  # a JSON string is only ever an inf token
