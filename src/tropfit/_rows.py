@@ -3,7 +3,7 @@
 This module imports only the standard library, so that a loader can run
 it as a helper process that starts in milliseconds:
 
-    python -I -S _rows.py PATH START STOP WIDTH FINITE
+    python -I -S _rows.py PATH START STOP WIDTH FINITE DEV INO SIZE
 
 parses the lines of the UTF-8 file PATH from byte START to byte STOP, both
 just after a ``\\n`` byte or at the file's end, as rows of WIDTH cells each
@@ -12,12 +12,18 @@ of (lines, values, 0, 0, 0), then the values as raw doubles.  A ParseError
 found there is written instead as a HEAD of (0, -1, row, col, length): its
 row within the range and its column (0 for none), and the length of its
 message, which follows in UTF-8.
+
+DEV, INO and SIZE are the ``os.fstat`` device, inode and size of the file
+that the loader cut.  A helper whose open PATH is another file (PATH names
+the loader's standard input, say, or was renamed over) or that does not
+read up to STOP exits 1 and writes nothing.
 """
 
 from __future__ import annotations
 
 import array
 import math
+import os
 import struct
 import sys
 from collections.abc import Iterable, Iterator
@@ -159,15 +165,20 @@ def parse_range(fh, start: int, stop: int, width: int, finite: bool, values: arr
 
 
 def main(argv: list[str]) -> None:
-    path, start, stop, width, finite = argv
+    path, start, stop, width, finite, dev, ino, size = argv
     values = array.array("d")
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if (st.st_dev, st.st_ino, st.st_size) != (int(dev), int(ino), int(size)):
+            raise SystemExit(f"{path} is not the file that was cut")
         try:
             lines = parse_range(fh, int(start), int(stop), int(width), finite == "1", values)
         except ParseError as exc:
             reason = exc.reason.encode()
             out = [HEAD.pack(0, -1, exc.row or 0, exc.col or 0, len(reason)), reason]
         else:
+            if fh.tell() != int(stop):
+                raise SystemExit(f"{path} was not read up to byte {stop}")
             out = [HEAD.pack(lines, len(values), 0, 0, 0), values]
     for part in out:
         sys.stdout.buffer.write(part)

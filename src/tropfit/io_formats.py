@@ -13,18 +13,23 @@ one-line ``config: {...}`` echo that tables and CSV outputs start with.
 The loaders read a file a line at a time, through the same row parser as
 the ``parse_*`` functions on a whole text, and hold only the packed values:
 a matrix load peaks near the matrix's own size, not at its text's.  A UTF-8
-file of at least two ranges of 2 MiB, read with more than one usable CPU,
-is cut into one byte range per CPU (at most eight), each ending just after
-a newline byte.  This process reads the head, up to and including the
-first data row, which fixes the width, and parses the first range; a
-helper process running the stdlib-only row parser (``_rows``) parses each
-later range at the same time and sends back its values as raw doubles,
-which are appended in file order.  The first error in file order is the
-one raised, its row counted from the start of the file; a range whose
-helper fails is parsed here.  No helper outlives the load.
+file opened by name, of at least two ranges of 3 MiB and read with more
+than one usable CPU, is cut into one byte range per CPU (at most eight),
+each ending just after a newline byte.  This process reads the head, up
+to and including the first data row, which fixes the width, and parses the
+first range; a helper process running the stdlib-only row parser
+(``_rows``) parses each later range at the same time and sends back its
+values as raw doubles, which are appended in file order.  Each helper is
+an interpreter of its own that holds its range's values until it has sent
+them, memory that the loading process's own peak does not count.  The
+first error in file order is the one raised, its row counted from the
+start of the file; a range whose helper fails, or opens a file other than
+the one cut, is parsed here.  No helper outlives the load.
 
 Malformed input raises ParseError with the offending position; no other
 exception type escapes a parser or a loader, undecodable bytes included.
+Which error a file that does not decode raises can depend on whether it
+was read in ranges, and so on its size and the usable CPUs (see _read).
 """
 
 from __future__ import annotations
@@ -476,7 +481,8 @@ def _read(path, parse):
     the decode is finished first: a truncated last character is reported as
     it would be by ``read_text()``.  A file read in ranges (see _load) is
     decoded a line at a time, so its first error in file order is reported,
-    whether a bad row or bytes that do not decode.
+    whether a bad row or bytes that do not decode.  So for one undecodable
+    file the two reads can raise different errors.
     """
     try:
         with open(path) as fh:
@@ -500,11 +506,17 @@ def _lines(fh: Iterable[str]) -> Iterator[str]:
     return itertools.chain.from_iterable(map(str.splitlines, fh))
 
 
-# A file is cut into one range per usable CPU, at most _MAX_RANGES, of at
-# least _RANGE_BYTES each: below that a helper's start-up, about 15 ms,
-# costs more than its share of the parse saves.  Bytes are read from a
-# helper's pipe, and scanned for a line end, _BLOCK_BYTES at a time.
-_RANGE_BYTES = 2 << 20
+# A file is cut into one range per usable CPU, of at least _RANGE_BYTES
+# each.  A helper takes 18-24 ms from spawn to reap, and the loading process
+# then waits for the helper's parse and reads its values.  On a shared
+# 2-core machine two ranges were slower than the serial read in most runs
+# of a 2 or 3 MiB file, by up to 35 ms; they moved a 4 MiB load by -28 to
+# +37 ms, and saved 42-78 ms in every run at 5 and 6 MiB
+# (BENCH_solve-ranges.json, "range_size").  _MAX_RANGES bounds the helpers
+# of one load, each an interpreter of about 8 MB before its values; no load
+# of more than two ranges has been timed.  Bytes are read from a helper's
+# pipe, and scanned for a line end, _BLOCK_BYTES at a time.
+_RANGE_BYTES = 3 << 20
 _MAX_RANGES = 8
 _BLOCK_BYTES = 1 << 16
 
@@ -533,11 +545,12 @@ def _bounds(fh) -> list[int]:
     line start that begins each later range, and the file's size.
 
     Only a UTF-8 file is cut, since there a ``\\n`` byte ends a line
-    whatever precedes it; a file with fewer than two ranges is [0, size].
+    whatever precedes it, and only one opened by name, which a helper can
+    open; a file with fewer than two ranges is [0, size].
     """
     size = os.fstat(fh.fileno()).st_size
     count = min(_usable_cpus(), _MAX_RANGES, size // _RANGE_BYTES)
-    if count < 2 or codecs.lookup(fh.encoding).name != "utf-8":
+    if count < 2 or isinstance(fh.name, int) or codecs.lookup(fh.encoding).name != "utf-8":
         return [0, size]
     cuts = {_line_start(fh.buffer, size * k // count) for k in range(1, count)}
     fh.buffer.seek(0)
@@ -550,14 +563,15 @@ def _below(exc: ParseError, lines: int) -> ParseError:
     return ParseError(exc.reason, None if exc.row is None else exc.row + lines, exc.col)
 
 
-def _spawn(path, start: int, stop: int, width: int, finite: bool) -> subprocess.Popen | None:
+def _spawn(path, start: int, stop: int, width: int, finite: bool, cut: tuple) -> subprocess.Popen | None:
     """A helper process that parses the rows from byte ``start`` to ``stop``
-    of the file at ``path``, or None when none could start."""
+    of the file at ``path``, or None when none could start.  The helper
+    exits 1 unless the file it opens has the identity ``cut``."""
     # imported here, so that `import tropfit` and a load of a small file go
     # without subprocess's modules: about 6 ms and 0.5 MB
     import subprocess
 
-    argv = [sys.executable, "-I", "-S", _rows.__file__, path, str(start), str(stop), str(width), str(int(finite))]
+    argv = [sys.executable, "-I", "-S", _rows.__file__, path, *map(str, (start, stop, width, int(finite), *cut))]
     try:
         return subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     except OSError:
@@ -611,11 +625,14 @@ def _ranged_table(lines: _rows.Lines, bounds: list[int], rows: Iterator[tuple[in
     first = min(bisect.bisect_left(bounds, lines.pos), len(bounds) - 1)
     lines.stop = bounds[first]
     ranges = list(itertools.pairwise(bounds[first:]))
+    # a helper reopens the file by its name, and must find the file cut here
+    st = os.fstat(lines.fh.fileno())
+    cut = (st.st_dev, st.st_ino, bounds[-1])
     values = array.array("d")
     helpers: list[subprocess.Popen | None] = []
     try:
         for start, stop in ranges:
-            helpers.append(_spawn(lines.fh.name, start, stop, width, finite))
+            helpers.append(_spawn(lines.fh.name, start, stop, width, finite, cut))
         _rows.parse_table(rows, width, finite, values)
         before = lines.count
         for helper, (start, stop) in zip(helpers, ranges):

@@ -5,7 +5,9 @@ import math
 import operator
 import os
 import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,6 +512,8 @@ FAILED_HELPERS = {
     "exits 1": lambda command: [command[0], "-c", "raise SystemExit(1)"],
     "writes half a stream": lambda command: [command[0], "-c", HALF_STREAM, os.path.dirname(command[3]), *command[4:]],
     "cannot start": lambda command: [os.devnull, *command[1:]],
+    # as a helper that is handed /dev/stdin but has no such standard input
+    "reads another file": lambda command: [*command[:4], os.devnull, *command[5:]],
 }
 
 
@@ -566,6 +570,38 @@ class TestRangedLoadHelpers:
         if failure != "cannot start":
             assert len(helpers) == 3
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_a_file_given_as_standard_input_loads_whole(self, tmp_path):
+        # this process finds a regular file there and cuts it; each helper
+        # finds its own standard input, which is not that file
+        path = tmp_path / "A.csv"
+        path.write_text(table_text())
+        code = (
+            "import sys; from tropfit import io_formats as f; f._RANGE_BYTES = 1; f._usable_cpus = lambda: 4; "
+            "sys.stdout.write(f.load_matrix('/dev/stdin').tobytes().hex())"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(io_formats.__file__).resolve().parents[1])}
+        with path.open("rb") as stdin:
+            out = subprocess.run(
+                [sys.executable, "-c", code], stdin=stdin, capture_output=True, text=True, check=True, env=env
+            )
+        assert bytes.fromhex(out.stdout) == parse_matrix(path.read_text()).tobytes()
+
+    def test_a_bad_row_before_a_truncated_last_character(self, tmp_path, helpers, monkeypatch):
+        # read in ranges, each line is decoded as it is parsed, so the bad
+        # row, first in the file, is raised; read serially, the decoder has
+        # reached the end of this short file and raises first (see _read)
+        path = tmp_path / "A.csv"
+        path.write_bytes(table_text(bad=(38,)).encode() + b"\xc2")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (exc.value.reason, exc.value.row, exc.value.col) == ("cannot parse cell 'x'", 38, 1)
+        assert len(helpers) == 3
+        monkeypatch.setattr(io_formats, "_usable_cpus", lambda: 1)
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (str(exc.value), exc.value.row) == ("file is not utf-8 text: unexpected end of data", None)
+
     def test_a_long_column_loads_as_a_vector(self, tmp_path, helpers):
         path = tmp_path / "b.csv"
         path.write_text(table_text(rows=50, width=1, bad=(45,)))
@@ -584,6 +620,13 @@ class TestRangedLoadHelpers:
         monkeypatch.setattr(io_formats, "_RANGE_BYTES", path.stat().st_size // 2 + 1)
         for load, parse in LOADERS[::2]:
             assert load_outcome(load, path) == load_outcome(parse, path.read_text())
+        assert helpers == []
+
+    def test_a_file_given_as_a_descriptor_starts_no_helper(self, tmp_path, helpers):
+        # it has no name that a helper could open
+        path = tmp_path / "A.csv"
+        path.write_text(table_text())
+        assert load_outcome(load_matrix, os.open(path, os.O_RDONLY)) == load_outcome(parse_matrix, path.read_text())
         assert helpers == []
 
     def test_a_ranged_load_holds_the_matrix_once(self, tmp_path, helpers):
