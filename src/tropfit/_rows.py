@@ -1,4 +1,5 @@
-"""The CSV row parser that every matrix, vector and dataset load runs.
+"""The CSV row parser and line reader that every matrix, vector and
+dataset load runs: a file is read as UTF-8 bytes, whatever the locale.
 
 This module imports only the standard library, so that a loader can run
 it as a helper process that starts in milliseconds:
@@ -31,6 +32,9 @@ from collections.abc import Iterable, Iterator
 # lines in the range, values in it (-1 for an error), and an error's row,
 # col and message length
 HEAD = struct.Struct("=qqqqq")
+# Bytes are read from a file, and from a helper's pipe, at most this many
+# at a time: a multiple of 8, so that a pipe read holds whole doubles.
+_BLOCK_BYTES = 1 << 16
 
 
 class ParseError(ValueError):
@@ -121,36 +125,58 @@ def parse_table(rows: Iterable[tuple[int, str]], width: int, finite: bool, value
 
 
 class Lines:
-    """The lines of a UTF-8 binary file from its position up to byte
-    ``stop``, as ``str.splitlines`` gives them, and a count of them.
+    """The lines of a UTF-8 binary file from byte ``start``, where it
+    stands, up to byte ``stop``, as ``str.splitlines`` gives them, and a
+    count of them.
 
-    The file is read a ``\\n``-ended line at a time, and a ``\\n`` byte is
-    never part of another character, so a range that ends just after one
-    splits into the lines that the whole text's ``splitlines`` has there.
-    ``pos`` is the byte after the last line read, and ``stop`` is checked
-    before each read, so a reader may move it on the way.  ``count`` is the
-    number of lines read, which is the range's once it has been iterated to
-    its end.  Bytes that do not decode are a ParseError with no row.
+    The file is read a ``\\n``-ended line at a time, at most _BLOCK_BYTES
+    at a time.  A read that finds no ``\\n`` ends just after its last CR
+    but its own last byte, which may begin a CR LF, and the bytes after
+    that CR begin the next read; a read with no such CR is part of a longer
+    line.  Neither byte is ever part of another character, and there each
+    ends a line, so a range that ends just after a ``\\n`` splits into the
+    lines that the whole text's ``splitlines`` has there.  ``pos`` is
+    the byte after the last line read, and ``stop`` is checked before each
+    read, so a reader may move it on the way.  ``count`` is the number of
+    lines read, which is the range's once it has been iterated to its end
+    without an error.
+    Bytes that do not decode are a ParseError with no row, raised after the
+    whole lines before them, so a reader meets the first error in file order.
     """
 
-    def __init__(self, fh, stop: int):
+    def __init__(self, fh, start: int, stop: float):
         self.fh = fh
-        self.pos = fh.tell()
+        self.pos = start
         self.stop = stop
         self.count = 0
 
+    def _read(self, rest: bytes) -> tuple[bytes, bytes]:
+        """The bytes of the next lines, ``rest`` first, and those read past them."""
+        parts = [rest] if rest else []  # the join of one part is that part, not a copy
+        while block := self.fh.readline(_BLOCK_BYTES):
+            cut = len(block) if block.endswith(b"\n") else block.rfind(b"\r", 0, -1) + 1
+            if cut:
+                parts.append(block[:cut])
+                return b"".join(parts), block[cut:]
+            parts.append(block)
+        return b"".join(parts), b""
+
     def __iter__(self) -> Iterator[str]:
+        rest = b""
         while self.pos < self.stop:
-            raw = self.fh.readline()
+            raw, rest = self._read(rest)
             if not raw:
                 return
             self.pos += len(raw)
             try:
                 lines = raw.decode("utf-8").splitlines()
             except UnicodeDecodeError as exc:
+                # the whole lines before the first bad byte, then its error
+                yield from (raw[: exc.start].decode("utf-8") + "x").splitlines()[:-1]
                 raise not_text(exc) from None
             self.count += len(lines)
             yield from lines
+            del raw, lines  # not held through the next read
 
 
 def parse_range(fh, start: int, stop: int, width: int, finite: bool, values: array.array) -> int:
@@ -159,7 +185,7 @@ def parse_range(fh, start: int, stop: int, width: int, finite: bool, values: arr
 
     A ParseError's row counts lines from the range's start."""
     fh.seek(start)
-    lines = Lines(fh, stop)
+    lines = Lines(fh, start, stop)
     parse_table(nonblank(lines), width, finite, values)
     return lines.count
 

@@ -10,33 +10,32 @@ Every line written ends in a bare newline.  Models, solve reports and run
 summaries are strict JSON with infinities as the same tokens, as is the
 one-line ``config: {...}`` echo that tables and CSV outputs start with.
 
-The loaders read a file a line at a time, through the same row parser as
-the ``parse_*`` functions on a whole text, and hold only the packed values:
-a matrix load peaks near the matrix's own size, not at its text's.  A UTF-8
-file opened by name, of at least two ranges of 3 MiB and read with more
-than one usable CPU, is cut into one byte range per CPU (at most eight),
-each ending just after a newline byte.  This process reads the head, up
-to and including the first data row, which fixes the width, and parses the
-first range; a helper process running the stdlib-only row parser
-(``_rows``) parses each later range at the same time and sends back its
-values as raw doubles, which are appended in file order.  Each helper is
-an interpreter of its own that holds its range's values until it has sent
-them, memory that the loading process's own peak does not count.  The
-first error in file order is the one raised, its row counted from the
-start of the file; a range whose helper fails, or opens a file other than
+The loaders read a file as UTF-8, whatever the locale, a line at a time,
+through the same row parser as the ``parse_*`` functions on a whole text,
+and hold only the packed values: a matrix load peaks near the matrix's own
+size, not at its text's.  A file opened by name, of at least two ranges of
+3 MiB and read with more than one usable CPU, is cut into one byte range
+per CPU (at most eight), each ending just after a newline byte.  This
+process reads the head, up to and including the first data row, which
+fixes the width, and parses the first range; a helper process running the
+stdlib-only row parser (``_rows``) parses each later range at the same
+time and sends back its values as raw doubles, which are appended in file
+order.  Each helper is an interpreter of its own that holds its range's
+values until it has sent them, memory that the loading process's own peak
+does not count.  A range whose helper fails, or opens a file other than
 the one cut, is parsed here.  No helper outlives the load.
 
 Malformed input raises ParseError with the offending position; no other
 exception type escapes a parser or a loader, undecodable bytes included.
-Which error a file that does not decode raises can depend on whether it
-was read in ranges, and so on its size and the usable CPUs (see _read).
+A load raises the first error in file order, its row counted from the
+start of the file, whatever the file's size or the usable CPUs: a bad row,
+or bytes that do not decode, which have no row.
 """
 
 from __future__ import annotations
 
 import array
 import bisect
-import codecs
 import functools
 import itertools
 import json
@@ -470,42 +469,6 @@ def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str
     return PlotRenderer(data, comment)(predicted)
 
 
-def _read(path, parse):
-    """``parse`` of the open text file at ``path``; undecodable bytes are a
-    ParseError with no row.
-
-    A file read through the text layer is decoded ahead of the parse by a
-    chunk, so its bytes may be refused before an earlier bad row is found.
-    The decoder holds back an incomplete sequence at a chunk's end until the
-    next read, so when a bad row is found in a file already read to its end,
-    the decode is finished first: a truncated last character is reported as
-    it would be by ``read_text()``.  A file read in ranges (see _load) is
-    decoded a line at a time, so its first error in file order is reported,
-    whether a bad row or bytes that do not decode.  So for one undecodable
-    file the two reads can raise different errors.
-    """
-    try:
-        with open(path) as fh:
-            try:
-                return parse(fh)
-            except ParseError:
-                if not fh.buffer.peek(1):
-                    fh.read()
-                raise
-    except UnicodeDecodeError as exc:
-        raise _rows.not_text(exc) from None
-
-
-def _lines(fh: Iterable[str]) -> Iterator[str]:
-    """The lines of ``read_text().splitlines()``, a file line at a time.
-
-    The file object splits at universal newlines, having turned CR LF and
-    CR into LF, and str.splitlines splits each of its lines at the other
-    boundaries str.splitlines knows (VT, FF, FS, GS, RS, NEL, LS, PS).
-    """
-    return itertools.chain.from_iterable(map(str.splitlines, fh))
-
-
 # A file is cut into one range per usable CPU, of at least _RANGE_BYTES
 # each.  A helper takes 18-24 ms from spawn to reap, and the loading process
 # then waits for the helper's parse and reads its values.  On a shared
@@ -514,11 +477,9 @@ def _lines(fh: Iterable[str]) -> Iterator[str]:
 # +37 ms, and saved 42-78 ms in every run at 5 and 6 MiB
 # (BENCH_solve-ranges.json, "range_size").  _MAX_RANGES bounds the helpers
 # of one load, each an interpreter of about 8 MB before its values; no load
-# of more than two ranges has been timed.  Bytes are read from a helper's
-# pipe, and scanned for a line end, _BLOCK_BYTES at a time.
+# of more than two ranges has been timed.
 _RANGE_BYTES = 3 << 20
 _MAX_RANGES = 8
-_BLOCK_BYTES = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -532,7 +493,7 @@ def _line_start(fh, at: int) -> int:
     """The first position from ``at`` (> 0) on that follows a ``\\n`` byte
     of the binary file ``fh``, or the file's end."""
     pos = fh.seek(at - 1)
-    while block := fh.read(_BLOCK_BYTES):
+    while block := fh.read(_rows._BLOCK_BYTES):
         end = block.find(b"\n")
         if end >= 0:
             return pos + end + 1
@@ -540,20 +501,20 @@ def _line_start(fh, at: int) -> int:
     return pos
 
 
-def _bounds(fh) -> list[int]:
-    """Byte offsets that cut the open text file ``fh`` into ranges: 0, the
+def _bounds(fh) -> list[float]:
+    """Byte offsets that cut the open binary file ``fh`` into ranges: 0, the
     line start that begins each later range, and the file's size.
 
-    Only a UTF-8 file is cut, since there a ``\\n`` byte ends a line
-    whatever precedes it, and only one opened by name, which a helper can
-    open; a file with fewer than two ranges is [0, size].
+    A ``\\n`` byte ends a line of UTF-8 text whatever precedes it.  Only a
+    file opened by name, which a helper can open, is cut; one with fewer
+    than two ranges, or a pipe, is [0, inf]: it is read to its end.
     """
     size = os.fstat(fh.fileno()).st_size
     count = min(_usable_cpus(), _MAX_RANGES, size // _RANGE_BYTES)
-    if count < 2 or isinstance(fh.name, int) or codecs.lookup(fh.encoding).name != "utf-8":
-        return [0, size]
-    cuts = {_line_start(fh.buffer, size * k // count) for k in range(1, count)}
-    fh.buffer.seek(0)
+    if count < 2 or isinstance(fh.name, int):
+        return [0, math.inf]
+    cuts = {_line_start(fh, size * k // count) for k in range(1, count)}
+    fh.seek(0)
     return [0, *sorted(cuts - {size}), size]
 
 
@@ -596,7 +557,7 @@ def _receive(helper: subprocess.Popen | None, values: array.array, lines: int) -
         whole = len(reason) == length
     else:
         while len(values) - mark < size:
-            want = min(_BLOCK_BYTES, (size - len(values) + mark) * values.itemsize)
+            want = min(_rows._BLOCK_BYTES, (size - len(values) + mark) * values.itemsize)
             chunk = out.read(want)
             if len(chunk) != want:
                 break
@@ -611,13 +572,13 @@ def _receive(helper: subprocess.Popen | None, values: array.array, lines: int) -
     return count
 
 
-def _ranged_table(lines: _rows.Lines, bounds: list[int], rows: Iterator[tuple[int, str]], finite: bool) -> np.ndarray:
+def _ranged_table(lines: _rows.Lines, bounds: list[float], rows: Iterator[tuple[int, str]], finite: bool) -> np.ndarray:
     """_table of ``rows``, the rows of ``lines`` after the head, parsed in
     the byte ranges between ``bounds`` at the same time.
 
     This process parses ``rows`` up to the first bound after the head, while
     a helper process parses each later range; a range whose helper fails is
-    parsed here.  The values are appended in file order, and the first error
+    parsed here.  With bounds [0, stop] this is the serial load.  The values are appended in file order, and the first error
     in file order is raised.  Every helper has exited when this returns or
     raises.
     """
@@ -653,22 +614,14 @@ def _ranged_table(lines: _rows.Lines, bounds: list[int], rows: Iterator[tuple[in
 
 
 def _load(path, parse):
-    """``parse(lines, table)`` of the CSV file at ``path``.
-
-    A file smaller than two ranges, or read on one CPU, is read a line at a
-    time through the text layer.  A larger one is read as bytes: the head,
-    up to and including the first data row, here, and the rest in ranges by
-    _ranged_table.
-    """
-
-    def run(fh):
+    """``parse(lines, table)`` of the CSV file at ``path``, read as UTF-8
+    bytes by one _rows.Lines: the head, up to and including the first data
+    row, and then the rest, in the ranges that _bounds cuts, by
+    _ranged_table."""
+    with open(path, "rb") as fh:
         bounds = _bounds(fh)
-        if len(bounds) < 3:
-            return parse(_lines(fh), _table)
-        lines = _rows.Lines(fh.buffer, bounds[-1])
+        lines = _rows.Lines(fh, 0, bounds[-1])
         return parse(lines, functools.partial(_ranged_table, lines, bounds))
-
-    return _read(path, run)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -684,7 +637,11 @@ def load_dataset(path) -> Dataset:
 
 
 def load_model(path) -> PwlModel:
-    return _read(path, lambda fh: parse_model(fh.read()))
+    with open(path, "rb") as fh:
+        try:
+            return parse_model(fh.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise _rows.not_text(exc) from None
 
 
 def save_text(path, text: str) -> None:

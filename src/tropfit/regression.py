@@ -219,8 +219,8 @@ def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
         raise ValueError("grid corners must be finite")
     if np.any(hi < lo):
         raise ValueError("hi must be >= lo in every dimension")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
     with np.errstate(over="ignore"):
         spans = np.floor((hi - lo) / step + 1e-9)
     # Python ints: an int64 product wraps (2^64 -> 0) and slips past the cap;

@@ -671,8 +671,9 @@ def greedy_sparse_solve(problem: FitProblem) -> SparseSolution:
     """Greedy minimum-support cover of the lp error budget (Infeasible if none).
 
     Infeasible is raised exactly when the full support misses the budget.
-    Otherwise the returned support satisfies the budget in theta-domain and
-    the solution never overshoots b (lateness).  Ties in the greedy argmin
+    Otherwise the returned support satisfies the budget in theta-domain and,
+    in exact arithmetic, the solution never overshoots b (lateness); in
+    floats A ⊞ x can exceed b_i by one rounding.  Ties in the greedy argmin
     go to the lowest column index, so identical inputs replay identically.
     For finite p a ratio certificate is attached; for p = inf the variant is
     a comparison heuristic with no guarantee.  Many budgets on one instance

@@ -41,7 +41,8 @@ from tropfit.io_formats import (
     write_vector,
 )
 from tropfit import io_formats
-from tropfit._rows import parse_cell
+from tropfit import _rows
+from tropfit._rows import not_text, parse_cell
 from tropfit.regression import Dataset, PwlModel
 from tropfit.solver import FitProblem, greedy_sparse_solve
 
@@ -357,20 +358,33 @@ def load_outcome(fn, arg):
     return (out.shape, out.tobytes())
 
 
-def assert_loaders_agree(path):
-    """Each loader on ``path`` equals its parser on ``path.read_text()``, and a
-    file that does not decode is a ParseError with no position (the files
-    here are shorter than the decoder's first chunk)."""
+def expected_outcome(parse, raw):
+    """The outcome of a load of the bytes ``raw``: ``parse`` of their text.
+
+    For bytes that do not decode it is ``parse`` of the whole lines before
+    the first bad byte, when that is a ParseError with a row, and otherwise
+    the decode's ParseError with no position.  A model is decoded whole.
+    """
     try:
-        text = path.read_text()
-    except UnicodeDecodeError:
-        for load in (load_matrix, load_vector, load_dataset, load_model):
-            with pytest.raises(ParseError) as exc:
-                load(path)
-            assert (exc.value.row, exc.value.col) == (None, None)
-        return
-    for load, parse in LOADERS:
-        assert load_outcome(load, path) == load_outcome(parse, text)
+        return load_outcome(parse, raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        if parse is not parse_model:
+            lines = raw[: exc.start].decode("utf-8").splitlines(keepends=True)
+            if lines and lines[-1].splitlines() == [lines[-1]]:
+                lines.pop()  # the start of the bad byte's line
+            try:
+                parse("".join(lines))
+            except ParseError as err:
+                if err.row is not None:
+                    return (str(err), err.row, err.col)
+        return (str(not_text(exc)), None, None)
+
+
+def assert_loads_as_expected(path):
+    """Each loader on ``path`` has expected_outcome of its parser on the file's bytes."""
+    raw = path.read_bytes()
+    for load, parse in [*LOADERS, (load_model, parse_model)]:
+        assert load_outcome(load, path) == expected_outcome(parse, raw)
 
 
 @pytest.fixture(scope="class")
@@ -378,24 +392,50 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("loaders") / "doc.csv"
 
 
+def table_file(path, end="\n"):
+    """A 400x500 matrix, and its text with ``end`` after each row, which is written to ``path``."""
+    A = np.random.default_rng(0).normal(size=(400, 500))
+    text = write_matrix(A).replace("\n", end)
+    path.write_text(text, newline="")
+    return A, text
+
+
+def traced_load(path):
+    """load_matrix(path), and the peak of the memory that tracemalloc traced in it."""
+    tracemalloc.start()
+    try:
+        got = load_matrix(path)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamingLoaders:
     @settings(max_examples=300, deadline=None)
     @given(text=document_text())
     def test_load_equals_parse_of_the_file_text(self, doc_path, text):
         doc_path.write_bytes(text.encode("utf-8"))
-        assert_loaders_agree(doc_path)
+        assert_loads_as_expected(doc_path)
 
     @settings(max_examples=200, deadline=None)
     @given(raw=st.one_of(st.binary(max_size=64), damaged_bytes()))
     def test_random_bytes_raise_only_parse_error(self, doc_path, raw):
         doc_path.write_bytes(raw)
-        assert_loaders_agree(doc_path)
+        assert_loads_as_expected(doc_path)
 
-    def test_truncated_last_character_before_a_bad_row(self, tmp_path):
-        # the decoder holds back the lone lead byte until it reads EOF
-        path = tmp_path / "doc.csv"
-        path.write_bytes(b"1,2\nx,y\n\xc2")
-        assert_loaders_agree(path)
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=64), damaged_bytes(), document_text().map(str.encode)), limit=st.integers(1, 5))
+    def test_a_small_read_limit_changes_no_outcome(self, doc_path, raw, limit):
+        # serially, and in ranges with no helper, so that every range is
+        # read here, a few bytes at a time
+        doc_path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_rows, "_BLOCK_BYTES", limit)
+            patch.setattr(io_formats, "_RANGE_BYTES", 1)
+            patch.setattr(io_formats, "_spawn", lambda *args: None)
+            for cpus in (1, 8):
+                patch.setattr(io_formats, "_usable_cpus", lambda: cpus)
+                assert_loads_as_expected(doc_path)
 
     def test_bad_bytes_past_the_first_chunk(self, tmp_path):
         good = write_matrix(np.ones((4000, 3))).encode()
@@ -404,29 +444,57 @@ class TestStreamingLoaders:
         with pytest.raises(ParseError) as exc:
             load_matrix(path)
         assert (exc.value.row, exc.value.col) == (None, None)
-        # a bad row before the bad bytes may be reported first
+        # the first error in file order is raised: a bad row before bad bytes
         path.write_bytes(b"1,x,1\n" + good + b"\xff\n")
         with pytest.raises(ParseError) as exc:
             load_matrix(path)
         assert (exc.value.row, exc.value.col) == (1, 2)
 
     def test_a_load_holds_the_matrix_once(self, tmp_path):
-        A = np.random.default_rng(0).normal(size=(400, 500))
-        text = write_matrix(A)
+        A, text = table_file(tmp_path / "A.csv")
         longest = max(map(len, text.splitlines()))
-        path = tmp_path / "A.csv"
-        path.write_text(text)
-        del text
-        tracemalloc.start()
-        try:
-            got = load_matrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_load(tmp_path / "A.csv")
         assert got.tobytes() == A.tobytes()
         # the packed values, their growth slack, and a few lines' worth of
         # cells: no copy of the file's text
         assert peak <= 1.25 * A.nbytes + 8 * longest
+
+    def test_a_cr_ended_load_holds_the_matrix_once(self, tmp_path):
+        # no read finds a newline, and each ends after its last CR
+        A, text = table_file(tmp_path / "A.csv", "\r")
+        longest = max(map(len, text.splitlines()))
+        got, peak = traced_load(tmp_path / "A.csv")
+        assert got.tobytes() == A.tobytes()
+        assert peak <= 1.25 * A.nbytes + 8 * longest
+
+    def test_a_pipe_is_read_to_its_end(self):
+        # it cannot seek, and its size reads 0
+        text = "1,2\r3,inf\r\n\r5,6"
+        read, write = os.pipe()
+        with os.fdopen(write, "wb") as fh:
+            fh.write(text.encode())
+        assert load_outcome(load_matrix, read) == load_outcome(parse_matrix, text)
+
+    def test_inputs_are_utf_8_in_any_locale(self, tmp_path):
+        text = "# caf\u00e9 \u2028x,f\r\n1,2\u20283,4\x855,6\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        code = (
+            "import sys; from tropfit.io_formats import load_dataset; d = load_dataset(sys.argv[1]); "
+            "sys.stdout.write(d.x.tobytes().hex() + ' ' + d.f.tobytes().hex())"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(io_formats.__file__).resolve().parents[1]),
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True, env=env
+        )
+        want = parse_dataset(text)
+        assert out.stdout.split() == [want.x.tobytes().hex(), want.f.tobytes().hex()]
 
 
 # Line ends weighted to the newline byte that a range ends after, so that
@@ -443,34 +511,19 @@ def ranged():
         yield
 
 
-def assert_ranged_loaders_agree(path):
-    """Each loader on ``path`` equals its parser on ``path.read_text()``, and a
-    file that does not decode is a ParseError, at the first bad row or bad
-    bytes of its ranges."""
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError:
-        for load, _ in LOADERS:
-            with pytest.raises(ParseError):
-                load(path)
-        return
-    for load, parse in LOADERS:
-        assert load_outcome(load, path) == load_outcome(parse, text)
-
-
 @pytest.mark.usefixtures("ranged")
 class TestRangedLoaders:
     @settings(max_examples=100, deadline=None)
     @given(text=document_text(RANGED_ENDS, max_lines=16))
     def test_load_equals_parse_of_the_file_text(self, doc_path, text):
         doc_path.write_bytes(text.encode("utf-8"))
-        assert_ranged_loaders_agree(doc_path)
+        assert_loads_as_expected(doc_path)
 
     @settings(max_examples=60, deadline=None)
     @given(raw=damaged_bytes(document_text(RANGED_ENDS, max_lines=16)))
     def test_random_bytes_raise_only_parse_error(self, doc_path, raw):
         doc_path.write_bytes(raw)
-        assert_ranged_loaders_agree(doc_path)
+        assert_loads_as_expected(doc_path)
 
 
 class Helpers(list):
@@ -588,19 +641,17 @@ class TestRangedLoadHelpers:
         assert bytes.fromhex(out.stdout) == parse_matrix(path.read_text()).tobytes()
 
     def test_a_bad_row_before_a_truncated_last_character(self, tmp_path, helpers, monkeypatch):
-        # read in ranges, each line is decoded as it is parsed, so the bad
-        # row, first in the file, is raised; read serially, the decoder has
-        # reached the end of this short file and raises first (see _read)
+        # each line is decoded as it is parsed, so the bad row, first in the
+        # file, is raised, serially as in ranges
         path = tmp_path / "A.csv"
-        path.write_bytes(table_text(bad=(38,)).encode() + b"\xc2")
-        with pytest.raises(ParseError) as exc:
-            load_matrix(path)
-        assert (exc.value.reason, exc.value.row, exc.value.col) == ("cannot parse cell 'x'", 38, 1)
-        assert len(helpers) == 3
-        monkeypatch.setattr(io_formats, "_usable_cpus", lambda: 1)
-        with pytest.raises(ParseError) as exc:
-            load_matrix(path)
-        assert (str(exc.value), exc.value.row) == ("file is not utf-8 text: unexpected end of data", None)
+        for raw, bad in [(table_text(bad=(38,)).encode(), (38, 1)), (b"1,2\nx,y\n", (2, 1))]:
+            path.write_bytes(raw + b"\xc2")
+            for cpus in (4, 1):
+                monkeypatch.setattr(io_formats, "_usable_cpus", lambda: cpus)
+                with pytest.raises(ParseError) as exc:
+                    load_matrix(path)
+                assert (exc.value.reason, exc.value.row, exc.value.col) == ("cannot parse cell 'x'", *bad)
+        assert len(helpers) == 3 + 2
 
     def test_a_long_column_loads_as_a_vector(self, tmp_path, helpers):
         path = tmp_path / "b.csv"
@@ -630,18 +681,9 @@ class TestRangedLoadHelpers:
         assert helpers == []
 
     def test_a_ranged_load_holds_the_matrix_once(self, tmp_path, helpers):
-        A = np.random.default_rng(0).normal(size=(400, 500))
-        text = write_matrix(A)
+        A, text = table_file(tmp_path / "A.csv")
         longest = max(map(len, text.splitlines()))
-        path = tmp_path / "A.csv"
-        path.write_text(text)
-        del text
-        tracemalloc.start()
-        try:
-            got = load_matrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_load(tmp_path / "A.csv")
         assert got.tobytes() == A.tobytes()
         assert len(helpers) == 3
         # as test_a_load_holds_the_matrix_once: the helpers' values arrive

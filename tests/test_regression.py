@@ -109,8 +109,10 @@ class TestGridSlopes:
             grid_slopes([-10.0] * 4, [10.0] * 4, 0.25)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
-            grid_slopes([0.0], [1.0], 0.0)
+        # an infinite step is refused before 0 * inf is computed
+        for step in (0.0, math.inf):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                grid_slopes([0.0], [1.0], step)
 
     @pytest.mark.parametrize(
         "lo, hi, step",
