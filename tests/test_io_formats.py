@@ -423,6 +423,15 @@ class TestStreamingLoaders:
         doc_path.write_bytes(raw)
         assert_loads_as_expected(doc_path)
 
+    def test_truncated_last_character_before_a_bad_row(self, tmp_path):
+        # the bad row comes before the lone lead byte, so it is raised
+        path = tmp_path / "doc.csv"
+        path.write_bytes(b"1,2\nx,y\n\xc2")
+        assert_loads_as_expected(path)
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert (exc.value.row, exc.value.col) == (2, 1)
+
     @settings(max_examples=200, deadline=None)
     @given(raw=st.one_of(st.binary(max_size=64), damaged_bytes(), document_text().map(str.encode)), limit=st.integers(1, 5))
     def test_a_small_read_limit_changes_no_outcome(self, doc_path, raw, limit):
