@@ -9,15 +9,14 @@ it as a helper process that starts in milliseconds:
 parses the lines of the UTF-8 file PATH from byte START to byte STOP, both
 just after a ``\\n`` byte or at the file's end, as rows of WIDTH cells each
 (FINITE is 1 when an inf value is an error).  It writes to stdout a HEAD
-of (lines, values, 0, 0, 0), then the values as raw doubles.  A ParseError
-found there is written instead as a HEAD of (0, -1, row, col, length): its
-row within the range and its column (0 for none), and the length of its
-message, which follows in UTF-8.
+of (lines, values), then the values as raw doubles.
 
 DEV, INO and SIZE are the ``os.fstat`` device, inode and size of the file
 that the loader cut.  A helper whose open PATH is another file (PATH names
-the loader's standard input, say, or was renamed over) or that does not
-read up to STOP exits 1 and writes nothing.
+the loader's standard input, say, or was renamed over), that does not read
+up to STOP, or that finds an error in its range (a ParseError, bytes that
+do not decode among them) exits 1 and writes nothing: it sends values or
+nothing.  The loader parses such a range itself and raises its error.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import struct
 import sys
 from collections.abc import Iterable, Iterator
 
-# lines in the range, values in it (-1 for an error), and an error's row,
-# col and message length
-HEAD = struct.Struct("=qqqqq")
+# lines in the range and values in it
+HEAD = struct.Struct("=qq")
 # Bytes are read from a file, and from a helper's pipe, at most this many
 # at a time: a multiple of 8, so that a pipe read holds whole doubles.
 _BLOCK_BYTES = 1 << 16
@@ -81,10 +79,10 @@ def parse_cell(token: str, row: int, col: int) -> float:
     return v
 
 
-def nonblank(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+def nonblank(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, str]]:
     """(lineno, line) for each line of ``lines`` that is not all blanks, lazily,
-    numbered from 1 among all of them; the test copies no line."""
-    return ((i, ln) for i, ln in enumerate(lines, 1) if ln and not ln.isspace())
+    numbered from ``first`` among all of them; the test copies no line."""
+    return ((i, ln) for i, ln in enumerate(lines, first) if ln and not ln.isspace())
 
 
 def parse_row(cells: list[str], lineno: int) -> list[float]:
@@ -179,14 +177,15 @@ class Lines:
             del raw, lines  # not held through the next read
 
 
-def parse_range(fh, start: int, stop: int, width: int, finite: bool, values: array.array) -> int:
+def parse_range(fh, start: int, stop: int, width: int, finite: bool, values: array.array, first: int = 1) -> int:
     """Append to ``values`` the rows of the binary file ``fh`` from byte
     ``start`` to byte ``stop``, and return the number of lines there.
 
-    A ParseError's row counts lines from the range's start."""
+    A ParseError's row counts lines from ``first``, the number of the
+    range's first line."""
     fh.seek(start)
     lines = Lines(fh, start, stop)
-    parse_table(nonblank(lines), width, finite, values)
+    parse_table(nonblank(lines, first), width, finite, values)
     return lines.count
 
 
@@ -197,17 +196,12 @@ def main(argv: list[str]) -> None:
         st = os.fstat(fh.fileno())
         if (st.st_dev, st.st_ino, st.st_size) != (int(dev), int(ino), int(size)):
             raise SystemExit(f"{path} is not the file that was cut")
-        try:
-            lines = parse_range(fh, int(start), int(stop), int(width), finite == "1", values)
-        except ParseError as exc:
-            reason = exc.reason.encode()
-            out = [HEAD.pack(0, -1, exc.row or 0, exc.col or 0, len(reason)), reason]
-        else:
-            if fh.tell() != int(stop):
-                raise SystemExit(f"{path} was not read up to byte {stop}")
-            out = [HEAD.pack(lines, len(values), 0, 0, 0), values]
-    for part in out:
-        sys.stdout.buffer.write(part)
+        # a ParseError is uncaught: the helper exits 1 without writing
+        lines = parse_range(fh, int(start), int(stop), int(width), finite == "1", values)
+        if fh.tell() != int(stop):
+            raise SystemExit(f"{path} was not read up to byte {stop}")
+    sys.stdout.buffer.write(HEAD.pack(lines, len(values)))
+    sys.stdout.buffer.write(values)
     sys.stdout.buffer.flush()
 
 

@@ -195,16 +195,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scored(model: PwlModel | Infeasible) -> tuple[PwlModel, Score]:
-    """A fitted model with its score; an Infeasible from fit_path is raised.
+def _scored(model: PwlModel | Infeasible) -> Score:
+    """A fitted model's score; an Infeasible from fit_path is raised.
 
     A model with every region pruned scores NaN errors for the console;
     tables write the model's own None errors, as empty cells."""
     if isinstance(model, Infeasible):
         raise model
     if model.support_size == 0:
-        return model, Score(rms=math.nan, max_abs=math.nan, support=0)
-    return model, Score(rms=model.rms, max_abs=model.max_abs, support=model.support_size)
+        return Score(rms=math.nan, max_abs=math.nan, support=0)
+    return Score(rms=model.rms, max_abs=model.max_abs, support=model.support_size)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -221,7 +221,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         slope_count=slopes.size,
         slope_origin=slopes.origin,
     )
-    model, s = _scored(fit(data, slopes, problem, seed=args.seed))
+    model = fit(data, slopes, problem, seed=args.seed)
+    s = _scored(model)
     _fit_writer(data, slopes, config)(out / "model.json", out / "fit_plot.csv", model)
     _write_table(
         out / "fit.csv",
@@ -270,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append([p, val, None, None, None, True])
             lines.append(where + "infeasible")
             continue
-        _, s = _scored(model)
+        s = _scored(model)
         rows.append([p, val, model.rms, model.max_abs, s.support, False])
         lines.append(where + f"rms={s.rms:.4f} max_abs={s.max_abs:.4f} supp={s.support}")
         tag = f"p{p_label(p)}_{kind}{label(val)}"
@@ -449,8 +450,8 @@ def _check_example1() -> tuple[bool, str]:
     ]
     models = fit_path(data, slopes, problems, seed=0)  # one greedy run at p = 1
     for theta, (rms, supp) in EXAMPLE1_P1.items():
-        _, s = _scored(next(models))
-        _, sm = _scored(next(models))
+        s = _scored(next(models))
+        sm = _scored(next(models))
         ok &= abs(s.support - supp) <= 1
         ok &= abs(s.rms - rms) <= 0.10 * rms
         # model re-evaluation rounds independently of the solver, hence the slack
@@ -468,7 +469,7 @@ def _check_example2() -> tuple[bool, str]:
         sgle, smmae = fit_path(data, slopes, problems, seed=seed)
         if isinstance(sgle, Infeasible):
             continue
-        (sgle, s), (smmae, sm) = _scored(sgle), _scored(smmae)
+        s, sm = _scored(sgle), _scored(smmae)
         residuals = data.f - evaluate(sgle, data.x)
         ok = (
             sm.max_abs <= bound
@@ -499,11 +500,11 @@ def _check_example3() -> tuple[bool, str]:
             yield FitProblem(p=2, epsilon=eps)
 
     fits = fit_path(data, slopes, halvings(), seed=0)  # one greedy run at p = 2
-    _, s = _scored(next(fits))
+    s = _scored(next(fits))
     ok = s.rms < 1.0 and s.support <= 6
     supports.append(s.support)
     for model in fits:
-        supports.append(_scored(model)[1].support)
+        supports.append(_scored(model).support)
     ok &= all(a <= b for a, b in zip(supports, supports[1:]))
     return ok, f"K={s.support} rms={s.rms:.4f}; K sweep {supports}"
 

@@ -15,15 +15,18 @@ through the same row parser as the ``parse_*`` functions on a whole text,
 and hold only the packed values: a matrix load peaks near the matrix's own
 size, not at its text's.  A file opened by name, of at least two ranges of
 3 MiB and read with more than one usable CPU, is cut into one byte range
-per CPU (at most eight), each ending just after a newline byte.  This
+per CPU (at most eight), each ending just after a newline byte; a file
+whose lines end in lone CRs has no such byte, and loads serially.  This
 process reads the head, up to and including the first data row, which
 fixes the width, and parses the first range; a helper process running the
 stdlib-only row parser (``_rows``) parses each later range at the same
 time and sends back its values as raw doubles, which are appended in file
 order.  Each helper is an interpreter of its own that holds its range's
 values until it has sent them, memory that the loading process's own peak
-does not count.  A range whose helper fails, or opens a file other than
-the one cut, is parsed here.  No helper outlives the load.
+does not count.  A helper sends its values or nothing: one that finds an
+error in its range exits 1, as one that opens a file other than the one
+cut does, and the range of any failed helper is parsed here, where its
+error is raised.  No helper outlives the load.
 
 Malformed input raises ParseError with the offending position; no other
 exception type escapes a parser or a loader, undecodable bytes included.
@@ -507,7 +510,9 @@ def _bounds(fh) -> list[float]:
 
     A ``\\n`` byte ends a line of UTF-8 text whatever precedes it.  Only a
     file opened by name, which a helper can open, is cut; one with fewer
-    than two ranges, or a pipe, is [0, inf]: it is read to its end.
+    than two ranges, or a pipe, is [0, inf]: it is read to its end.  A cut
+    is made only after a ``\\n``, so a file whose lines end in lone CRs
+    is one range, [0, size]: it loads serially.
     """
     size = os.fstat(fh.fileno()).st_size
     count = min(_usable_cpus(), _MAX_RANGES, size // _RANGE_BYTES)
@@ -516,12 +521,6 @@ def _bounds(fh) -> list[float]:
     cuts = {_line_start(fh, size * k // count) for k in range(1, count)}
     fh.seek(0)
     return [0, *sorted(cuts - {size}), size]
-
-
-def _below(exc: ParseError, lines: int) -> ParseError:
-    """A range's error ``exc``, its row counted from the start of the file,
-    which has ``lines`` lines before the range."""
-    return ParseError(exc.reason, None if exc.row is None else exc.row + lines, exc.col)
 
 
 def _spawn(path, start: int, stop: int, width: int, finite: bool, cut: tuple) -> subprocess.Popen | None:
@@ -539,36 +538,29 @@ def _spawn(path, start: int, stop: int, width: int, finite: bool, cut: tuple) ->
         return None
 
 
-def _receive(helper: subprocess.Popen | None, values: array.array, lines: int) -> int | None:
+def _receive(helper: subprocess.Popen | None, values: array.array) -> int | None:
     """The line count of a helper's range, whose values are appended to
-    ``values``; the ParseError the helper found is raised, after ``lines``
-    lines.  None, with ``values`` as it was, for a helper that did not
-    start, sent a short stream or exited non-zero."""
+    ``values``.  None, with ``values`` as it was, for a helper that did not
+    start, sent a short stream or exited non-zero, as one that found an
+    error in its range does."""
     if helper is None:
         return None
     out = helper.stdout
     head = out.read(_rows.HEAD.size)
     if len(head) != _rows.HEAD.size:
         return None
-    count, size, row, col, length = _rows.HEAD.unpack(head)
+    count, size = _rows.HEAD.unpack(head)
     mark = len(values)
-    if size < 0:
-        reason = out.read(length)
-        whole = len(reason) == length
-    else:
-        while len(values) - mark < size:
-            want = min(_rows._BLOCK_BYTES, (size - len(values) + mark) * values.itemsize)
-            chunk = out.read(want)
-            if len(chunk) != want:
-                break
-            values.frombytes(chunk)
-        whole = len(values) - mark == size
+    while len(values) - mark < size:
+        want = min(_rows._BLOCK_BYTES, (size - len(values) + mark) * values.itemsize)
+        chunk = out.read(want)
+        if len(chunk) != want:
+            break
+        values.frombytes(chunk)
     out.close()  # a helper that writes more than it declared fails, not blocks
-    if helper.wait() != 0 or not whole:
+    if helper.wait() != 0 or len(values) - mark != size:
         del values[mark:]
         return None
-    if size < 0:
-        raise _below(ParseError(reason.decode("utf-8", "replace"), row or None, col or None), lines)
     return count
 
 
@@ -577,10 +569,11 @@ def _ranged_table(lines: _rows.Lines, bounds: list[float], rows: Iterator[tuple[
     the byte ranges between ``bounds`` at the same time.
 
     This process parses ``rows`` up to the first bound after the head, while
-    a helper process parses each later range; a range whose helper fails is
-    parsed here.  With bounds [0, stop] this is the serial load.  The values are appended in file order, and the first error
-    in file order is raised.  Every helper has exited when this returns or
-    raises.
+    a helper process parses each later range; a range whose helper fails,
+    or finds an error, is parsed here, its rows numbered from the top of
+    the file.  With bounds [0, stop] this is the serial load.  The values
+    are appended in file order, and the first error in file order is
+    raised.  Every helper has exited when this returns or raises.
     """
     width, rows = _width(rows)
     first = min(bisect.bisect_left(bounds, lines.pos), len(bounds) - 1)
@@ -597,12 +590,9 @@ def _ranged_table(lines: _rows.Lines, bounds: list[float], rows: Iterator[tuple[
         _rows.parse_table(rows, width, finite, values)
         before = lines.count
         for helper, (start, stop) in zip(helpers, ranges):
-            count = _receive(helper, values, before)
+            count = _receive(helper, values)
             if count is None:
-                try:
-                    count = _rows.parse_range(lines.fh, start, stop, width, finite, values)
-                except ParseError as exc:
-                    raise _below(exc, before) from None
+                count = _rows.parse_range(lines.fh, start, stop, width, finite, values, before + 1)
             before += count
     finally:
         for helper in helpers:

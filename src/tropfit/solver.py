@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import KW_ONLY, dataclass, replace
 
@@ -341,7 +342,13 @@ class FitProblem:
             return eps
         if eps == 0.0:
             return 0.0
-        return math.exp(math.log(eps) / self.p)
+        try:
+            return math.exp(math.log(eps) / self.p)
+        except OverflowError:
+            # eps**(1/p), for p < 1, is above every float: every finite error
+            # meets this budget, and an infinite one, which inf would admit,
+            # still misses it
+            return sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,16 @@ class TestSolve:
         assert main(["solve", str(a), str(b), "--p", "1", "--theta", "1e9", "--out", str(out)]) == 0
         assert np.isneginf(load_vector(out / "solution.csv")).all()
 
+    def test_an_epsilon_whose_budget_is_above_every_float(self, worked_files, tmp_path):
+        # 1e300 ** (1 / 0.5) is no float: the budget is the largest one
+        a, b = worked_files
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="quasi-norm"):
+            rc = main(["solve", str(a), str(b), "--p", "0.5", "--epsilon", "1e300", "--out", str(out)])
+        assert rc == 0
+        report = parse_report((out / "report.json").read_text())
+        assert (report["support"], report["config"]["theta"]) == ([], sys.float_info.max)
+
     @pytest.mark.parametrize("command", ["solve", "fit", "sweep"])
     def test_norm_inf_greedy(self, worked_files, tmp_path, command):
         # --p inf is the one spelling of the guarantee-free l-infinity greedy

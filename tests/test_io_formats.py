@@ -1,3 +1,4 @@
+import array
 import csv
 import io
 import json
@@ -661,6 +662,41 @@ class TestRangedLoadHelpers:
                     load_matrix(path)
                 assert (exc.value.reason, exc.value.row, exc.value.col) == ("cannot parse cell 'x'", *bad)
         assert len(helpers) == 3 + 2
+
+    @staticmethod
+    def run_helper(path, start, width):
+        """The exit status and standard output of a helper for the rows of
+        ``path`` from byte ``start`` to its end."""
+        st = path.stat()
+        args = [path, start, st.st_size, width, 0, st.st_dev, st.st_ino, st.st_size]
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", _rows.__file__, *map(str, args)], stdin=subprocess.DEVNULL, capture_output=True
+        )
+        return out.returncode, out.stdout
+
+    def test_a_helper_sends_its_ranges_values(self, tmp_path):
+        text = table_text()
+        path = tmp_path / "A.csv"
+        path.write_text(text)
+        start = len("".join(text.splitlines(keepends=True)[:20]))
+        values = array.array("d")
+        with path.open("rb") as fh:
+            lines = _rows.parse_range(fh, start, path.stat().st_size, 6, False, values)
+        assert (lines, len(values)) == (20, 120)
+        assert self.run_helper(path, start, 6) == (0, _rows.HEAD.pack(lines, len(values)) + values.tobytes())
+
+    @pytest.mark.parametrize("damage", [b"x,", b"\xff"], ids=["bad row", "bad bytes"])
+    def test_a_helper_that_finds_an_error_sends_nothing(self, tmp_path, damage):
+        # it exits 1 like any failed helper, and the loading process parses
+        # its range and raises the error
+        rows = table_text().encode().splitlines(keepends=True)
+        rows[29] = damage + rows[29]
+        path = tmp_path / "A.csv"
+        path.write_bytes(b"".join(rows))
+        start = len(b"".join(rows[:20]))
+        with path.open("rb") as fh, pytest.raises(ParseError):
+            _rows.parse_range(fh, start, path.stat().st_size, 6, False, array.array("d"))
+        assert self.run_helper(path, start, 6) == (1, b"")
 
     def test_a_long_column_loads_as_a_vector(self, tmp_path, helpers):
         path = tmp_path / "b.csv"

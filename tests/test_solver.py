@@ -177,6 +177,11 @@ class TestGreedy:
         with pytest.raises(Infeasible) as exc:
             greedy_sparse_solve(FitProblem(A, b, p=2, theta=1.0))
         assert exc.value.full_support_error == pytest.approx(5.0)
+        # a row that no column covers misses even a budget above every float
+        A = np.array([[1.0, NEG], [NEG, NEG]])
+        with pytest.warns(UserWarning, match="quasi-norm"), pytest.raises(Infeasible) as exc:
+            greedy_sparse_solve(FitProblem(A, b, p=0.5, epsilon=1e300))
+        assert exc.value.full_support_error == math.inf
 
     def test_epsilon_budget_equivalent(self):
         a = greedy_sparse_solve(FitProblem(A_REF, B_REF, p=2, theta=3.0))
@@ -459,6 +464,11 @@ class TestFitProblem:
         assert FitProblem(None, None, p=150, epsilon=1e8).budget == pytest.approx(10 ** (8 / 150))
         assert FitProblem(None, None, p=math.inf, epsilon=2.5).budget == 2.5
         assert FitProblem(None, None, p=3, epsilon=0.0).budget == 0.0
+        # eps**(1/p) is above every float for p < 1: the largest float, which
+        # every finite error meets and an infinite one does not
+        with pytest.warns(UserWarning, match="quasi-norm"):
+            assert FitProblem(None, None, p=0.5, epsilon=1e300).budget == sys.float_info.max
+            assert FitProblem(None, None, p=0.5, epsilon=math.inf).budget == math.inf
 
     def test_budget_only_problem_needs_no_data(self):
         # a problem for a GreedyPath or a fit leaves out A and b
