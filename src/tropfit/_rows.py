@@ -53,22 +53,15 @@ def not_text(exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"file is not {exc.encoding} text: {exc.reason}")
 
 
-def inf_token(text: str) -> float | None:
-    """The infinity an inf token spells (any casing, surrounding blanks,
-    an optional '+'), or None for any other text."""
-    low = text.strip().lower()
+def parse_cell(token: str, row: int, col: int) -> float:
+    """A cell's value: a finite number, or the infinity an inf token spells
+    (any casing, surrounding blanks, an optional '+')."""
+    t = token.strip()
+    low = t.lower()
     if low == "-inf":
         return -math.inf
     if low in ("inf", "+inf"):
         return math.inf
-    return None
-
-
-def parse_cell(token: str, row: int, col: int) -> float:
-    t = token.strip()
-    inf = inf_token(t)
-    if inf is not None:
-        return inf
     try:
         v = float(t)
     except ValueError:

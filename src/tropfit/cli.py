@@ -128,7 +128,9 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _slope_set(args: argparse.Namespace, data: Dataset) -> SlopeSet:
+def _slope_set(args: argparse.Namespace, data: Dataset) -> tuple[SlopeSet, dict]:
+    """The slopes that the flags choose, and the replay record of their
+    source: its origin and its flags' parsed values."""
     chosen = [
         name
         for name, on in (
@@ -153,10 +155,15 @@ def _slope_set(args: argparse.Namespace, data: Dataset) -> SlopeSet:
             lo = lo * data.dim
         if len(hi) == 1:
             hi = hi * data.dim
-        return grid_slopes(lo, hi, args.grid_step)
-    if args.slopes is not None:
-        return SlopeSet(io_formats.load_matrix(args.slopes), origin="explicit")
-    return gradient_slopes(data, args.neighbors)
+        slopes = grid_slopes(lo, hi, args.grid_step)
+        source = {"grid_lo": lo, "grid_hi": hi, "grid_step": args.grid_step}
+    elif args.slopes is not None:
+        slopes = SlopeSet(io_formats.load_matrix(args.slopes), origin="explicit")
+        source = {"slopes": args.slopes}
+    else:
+        slopes = gradient_slopes(data, args.neighbors)
+        source = {"neighbors": args.neighbors}
+    return slopes, {"slope_count": slopes.size, "slope_origin": slopes.origin, **source}
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +217,7 @@ def _scored(model: PwlModel | Infeasible) -> Score:
 def cmd_fit(args: argparse.Namespace) -> int:
     out = Path(args.out)
     data = io_formats.load_dataset(args.dataset)
-    slopes = _slope_set(args, data)
+    slopes, source = _slope_set(args, data)
     problem = _problem_from_args(args)
     config = _config(
         args,
@@ -218,8 +225,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         p=problem.p,
         theta=problem.budget,
         estimator=args.estimator,
-        slope_count=slopes.size,
-        slope_origin=slopes.origin,
+        **source,
     )
     model = fit(data, slopes, problem, seed=args.seed)
     s = _scored(model)
@@ -244,7 +250,7 @@ def _labeler(values: list[float]):
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     data = io_formats.load_dataset(args.dataset)
-    slopes = _slope_set(args, data)
+    slopes, source = _slope_set(args, data)
     ps = _parse_float_list(args.p_list)
     kind = "theta" if args.theta_list is not None else "epsilon"
     budgets = _parse_float_list(args.theta_list if kind == "theta" else args.epsilon_list)
@@ -257,7 +263,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budgets=budgets,
         budget_kind=kind,
         estimator=args.estimator,
-        slope_count=slopes.size,
+        **source,
     )
     # p-major, so fit_path runs one greedy per norm order for all its budgets
     cells = [(p, val) for p in ps for val in budgets]

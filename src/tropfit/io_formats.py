@@ -7,8 +7,9 @@ Finite cells are written with shortest round-trip precision, so
 serialize(parse(text)) is value-identical.  Dataset CSV holds n feature
 columns plus one target column; tables (fit, sweep, bench) a header row.
 Every line written ends in a bare newline.  Models, solve reports and run
-summaries are strict JSON with infinities as the same tokens, as is the
-one-line ``config: {...}`` echo that tables and CSV outputs start with.
+summaries are written, never read, as strict JSON with infinities as the
+same tokens, as is the one-line ``config: {...}`` echo that tables and CSV
+outputs start with.
 
 The loaders read a file as UTF-8, whatever the locale, a line at a time,
 through the same row parser as the ``parse_*`` functions on a whole text,
@@ -65,8 +66,6 @@ __all__ = [
     "parse_matrix",
     "parse_vector",
     "parse_dataset",
-    "parse_model",
-    "parse_report",
     "write_matrix",
     "write_vector",
     "write_dataset",
@@ -81,7 +80,6 @@ __all__ = [
     "load_matrix",
     "load_vector",
     "load_dataset",
-    "load_model",
     "save_text",
 ]
 
@@ -293,41 +291,6 @@ def config_echo(config: dict) -> str:
     return "config: " + _dumps(config)
 
 
-def _json_object(text: str, what: str, keys: Iterable[str]) -> dict:
-    """The JSON object ``text`` holds, with every one of ``keys`` present."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise ParseError(f"{what} missing required key {key!r}")
-    return doc
-
-
-def _num_in(v, key: str, allow_none: bool = False) -> float | None:
-    if v is None and allow_none:
-        return None
-    if isinstance(v, str):
-        inf = _rows.inf_token(v)
-        if inf is None:
-            raise ParseError(f"key {key!r}: bad numeric token {v!r}")
-        return inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"key {key!r}: expected a number, got {type(v).__name__}")
-    try:
-        out = float(v)
-    except OverflowError:
-        raise ParseError(f"key {key!r}: integer out of float range") from None
-    if math.isnan(out):
-        raise ParseError(f"key {key!r}: NaN is not a value")
-    return out
-
-
 class ModelRenderer:
     """The model document of each of many models on one slope array.
 
@@ -363,47 +326,6 @@ def write_model(model: PwlModel) -> str:
     return ModelRenderer(model.slopes)(model)
 
 
-_MODEL_KEYS = ("dim", "slopes", "intercepts", "p", "theta", "estimator", "seed", "errors", "support")
-
-
-def parse_model(text: str) -> PwlModel:
-    doc = _json_object(text, "model document", _MODEL_KEYS)
-    try:
-        slopes = np.array(doc["slopes"], dtype=np.float64)
-        intercepts = np.array([_num_in(v, "intercepts") for v in doc["intercepts"]])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad slopes/intercepts: {exc}") from None
-    errors = doc["errors"]
-    if not isinstance(errors, dict) or "rms" not in errors or "max_abs" not in errors:
-        raise ParseError("model 'errors' must hold rms and max_abs")
-    seed = doc["seed"]
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ParseError("seed must be an integer or null")
-    declared_support = doc["support"]
-    if isinstance(declared_support, bool) or not isinstance(declared_support, int):
-        raise ParseError("support must be an integer")
-    try:
-        model = PwlModel(
-            slopes=slopes,
-            intercepts=intercepts,
-            p=_num_in(doc["p"], "p"),
-            theta=_num_in(doc["theta"], "theta"),
-            estimator=doc["estimator"],
-            seed=seed,
-            rms=_num_in(errors["rms"], "rms", allow_none=True),
-            max_abs=_num_in(errors["max_abs"], "max_abs", allow_none=True),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    if type(doc["dim"]) is not int or doc["dim"] != model.dim:  # bools and 2.0 are not dims
-        raise ParseError(f"declared dim {doc['dim']!r} != slope width {model.dim}")
-    if declared_support != model.support_size:
-        raise ParseError(
-            f"declared support {declared_support} != {model.support_size} finite intercepts"
-        )
-    return model
-
-
 def write_report(
     solution: SparseSolution | None,
     config: dict | None = None,
@@ -436,16 +358,6 @@ def write_report(
     if config is not None:
         doc["config"] = config
     return write_json(doc)
-
-
-def parse_report(text: str) -> dict:
-    doc = _json_object(
-        text, "report", ("support", "error_p", "error_inf", "ratio_bound", "iterations", "infeasible")
-    )
-    for key in ("error_p", "error_inf", "ratio_bound", "full_support_error"):
-        if key in doc:
-            doc[key] = _num_in(doc[key], key, allow_none=True)
-    return doc
 
 
 class PlotRenderer:
@@ -624,14 +536,6 @@ def load_vector(path) -> np.ndarray:
 
 def load_dataset(path) -> Dataset:
     return _load(path, _dataset)
-
-
-def load_model(path) -> PwlModel:
-    with open(path, "rb") as fh:
-        try:
-            return parse_model(fh.read().decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise _rows.not_text(exc) from None
 
 
 def save_text(path, text: str) -> None:

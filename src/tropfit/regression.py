@@ -119,7 +119,7 @@ class SlopeSet:
 class PwlModel:
     """Max-of-affine model: p(x) = max over finite-intercept k of a_k.x + b_k.
 
-    Finite slopes, no NaN intercept and a known estimator: every model can be written and read back."""
+    Finite slopes, no NaN intercept and a known estimator: every model can be written."""
 
     slopes: np.ndarray
     intercepts: np.ndarray

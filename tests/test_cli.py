@@ -20,15 +20,13 @@ from tropfit.cli import (
 from tropfit import io_formats
 from tropfit.io_formats import (
     load_dataset,
-    load_model,
     load_vector,
-    parse_report,
     write_matrix,
     write_model,
     write_plot_data,
     write_vector,
 )
-from tropfit.regression import evaluate
+from tropfit.regression import evaluate, grid_slopes
 
 MATRIX = "0,5,2\n4,1,0\n0,1,0\n"
 VECTOR = "3\n1\n0\n"
@@ -50,7 +48,7 @@ class TestSolve:
         rc = main(["solve", str(a), str(b), "--p", "1", "--theta", "1", "--out", str(out)])
         assert rc == 0
         assert np.array_equal(load_vector(out / "solution.csv"), [-3.0, -np.inf, 0.0])
-        report = parse_report((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text())
         assert report["support"] == [2, 0]
         assert report["infeasible"] is False
         assert report["config"]["seed"] == 0
@@ -61,10 +59,10 @@ class TestSolve:
         out = tmp_path / "run"
         # epsilon = 1, p = 2 means theta = 1: stops at {2, 0} with e = (1,0,0)
         assert main(["solve", str(a), str(b), "--p", "2", "--epsilon", "1", "--out", str(out)]) == 0
-        assert parse_report((out / "report.json").read_text())["support"] == [2, 0]
+        assert json.loads((out / "report.json").read_text())["support"] == [2, 0]
         out2 = tmp_path / "run2"
         assert main(["solve", str(a), str(b), "--p", "2", "--theta", "1", "--out", str(out2)]) == 0
-        assert parse_report((out2 / "report.json").read_text())["support"] == [2, 0]
+        assert json.loads((out2 / "report.json").read_text())["support"] == [2, 0]
 
     def test_huge_theta_empty_support(self, worked_files, tmp_path):
         a, b = worked_files
@@ -79,7 +77,7 @@ class TestSolve:
         with pytest.warns(UserWarning, match="quasi-norm"):
             rc = main(["solve", str(a), str(b), "--p", "0.5", "--epsilon", "1e300", "--out", str(out)])
         assert rc == 0
-        report = parse_report((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text())
         assert (report["support"], report["config"]["theta"]) == ([], sys.float_info.max)
 
     @pytest.mark.parametrize("command", ["solve", "fit", "sweep"])
@@ -96,7 +94,7 @@ class TestSolve:
             rc = main([*argv, "--p", "inf", "--theta", "0.5", "--out", str(out)])
         assert rc == 0
         if command == "solve":
-            assert parse_report((out / "report.json").read_text())["support"] == [2]
+            assert json.loads((out / "report.json").read_text())["support"] == [2]
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         a = tmp_path / "A.csv"
@@ -105,7 +103,7 @@ class TestSolve:
         b.write_text("0\n5\n")
         rc = main(["solve", str(a), str(b), "--p", "2", "--theta", "1", "--out", str(tmp_path)])
         assert rc == 2
-        assert parse_report((tmp_path / "report.json").read_text())["infeasible"] is True
+        assert json.loads((tmp_path / "report.json").read_text())["infeasible"] is True
         assert "infeasible" in capsys.readouterr().err
 
     def test_infeasible_report_records_full_support_error(self, tmp_path):
@@ -115,7 +113,7 @@ class TestSolve:
         b.write_text("0\n1\n")
         rc = main(["solve", str(a), str(b), "--theta", "0", "--out", str(tmp_path)])
         assert rc == 2
-        assert parse_report((tmp_path / "report.json").read_text())["full_support_error"] == 1.0
+        assert json.loads((tmp_path / "report.json").read_text())["full_support_error"] == 1.0
 
     def test_shape_mismatch_exit_code(self, tmp_path, capsys):
         a = tmp_path / "A.csv"
@@ -146,7 +144,7 @@ class TestSolve:
         out = tmp_path / "out"
         rc = main(["solve", str(a), str(b), "--p", "1", "--theta", "1e308", "--out", str(out)])
         assert rc == 0
-        report = parse_report((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text())
         assert report["infeasible"] is False
         assert report["error_p"] == 1e308
 
@@ -193,7 +191,7 @@ class TestSolve:
 
 
 class TestFitAndSweep:
-    def test_fit_writes_model_and_plot(self, tmp_path):
+    def test_fit_writes_model_and_plot(self, tmp_path, read_model):
         data = tmp_path / "d.csv"
         rc = main(["gen-example", "1", "--out", str(tmp_path)])
         assert rc == 0
@@ -217,14 +215,14 @@ class TestFitAndSweep:
             ]
         )
         assert rc == 0
-        model = load_model(out / "model.json")
+        model = read_model((out / "model.json").read_text())
         assert model.support_size == 11
         plot_rows = (out / "fit_plot.csv").read_text().strip().splitlines()
         assert plot_rows[0].startswith("# config:")
         assert len(plot_rows) == 101  # config comment + one row per point
         assert "# config:" in (out / "fit.csv").read_text()
 
-    def test_fit_model_round_trips_score(self, tmp_path):
+    def test_fit_model_round_trips_score(self, tmp_path, read_model):
         from tropfit.regression import score
 
         main(["gen-example", "1", "--out", str(tmp_path)])
@@ -236,11 +234,58 @@ class TestFitAndSweep:
                 "--p", "2", "--theta", "1", "--out", str(out),
             ]
         )
-        model = load_model(out / "model.json")
+        model = read_model((out / "model.json").read_text())
         data = load_dataset(tmp_path / "example1.csv")
         rescored = score(model, data)
         assert rescored.rms == model.rms
         assert rescored.max_abs == model.max_abs
+
+    def test_fit_on_explicit_slopes_writes_the_grid_fits_model(self, tmp_path):
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        data = str(tmp_path / "example1.csv")
+        slopes = tmp_path / "slopes.csv"
+        slopes.write_text(write_matrix(grid_slopes([-20], [20], 0.5).slopes))
+        problem = ["--p", "1", "--theta", "0.5"]
+        assert main(["fit", data, "--slopes", str(slopes), *problem, "--out", str(tmp_path / "explicit")]) == 0
+        grid = ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5"]
+        assert main(["fit", data, *grid, *problem, "--out", str(tmp_path / "grid")]) == 0
+        model = (tmp_path / "explicit" / "model.json").read_bytes()
+        assert model == (tmp_path / "grid" / "model.json").read_bytes()
+        assert json.loads(model)["support"] == 11
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_the_config_records_the_slope_source(self, tmp_path, command):
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        data = str(tmp_path / "example1.csv")
+        slopes = tmp_path / "slopes.csv"
+        slopes.write_text(write_matrix(grid_slopes([-20], [20], 0.5).slopes))
+        sources = {
+            "grid": (
+                ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5"],
+                {"slope_count": 81, "grid_lo": [-20.0], "grid_hi": [20.0], "grid_step": 0.5},
+            ),
+            "explicit": (["--slopes", str(slopes)], {"slope_count": 81, "slopes": str(slopes)}),
+            "gradients": (["--gradient-slopes", "--neighbors", "7"], {"neighbors": 7}),
+        }
+        table = "fit.csv" if command == "fit" else "sweep.csv"
+        for origin, (flags, recorded) in sources.items():
+            out = tmp_path / origin
+            assert main([command, data, *flags, "--p", "1", "--theta", "1", "--out", str(out)]) == 0
+            config = json.loads((out / table).read_text().splitlines()[0].removeprefix("# config: "))
+            assert config["slope_origin"] == origin
+            assert {key: config[key] for key in recorded} == recorded
+
+    def test_two_grids_give_two_config_lines(self, tmp_path):
+        main(["gen-example", "1", "--out", str(tmp_path)])
+        out = tmp_path / "fit"
+        runs = []
+        for lo, hi in (("-20", "20"), ("-10", "30")):
+            argv = ["fit", str(tmp_path / "example1.csv"), "--grid-lo", lo, "--grid-hi", hi, "--grid-step", "0.5"]
+            assert main([*argv, "--p", "1", "--theta", "0.5", "--out", str(out)]) == 0
+            runs.append(((out / "fit.csv").read_text().splitlines()[0], (out / "model.json").read_bytes()))
+        (config, model), (other_config, other_model) = runs
+        assert model != other_model
+        assert config != other_config
 
     def test_slope_sources_mutually_exclusive(self, tmp_path, capsys):
         main(["gen-example", "1", "--out", str(tmp_path)])
@@ -384,9 +429,10 @@ class TestFitAndSweep:
         [
             ("1", ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.5", "--p", "1,2", "--theta", "0.15,1,1e9"]),
             ("2", ["--grid-lo", "-4", "--grid-hi", "4", "--grid-step", "0.5", "--p", "2", "--theta", "15,20,25"]),
+            ("3", ["--gradient-slopes", "--neighbors", "7", "--p", "2", "--epsilon", "1331,665.5,83.1875"]),
         ],
     )
-    def test_sweep_files_equal_the_one_shot_writers(self, tmp_path, which, flags):
+    def test_sweep_files_equal_the_one_shot_writers(self, tmp_path, read_model, which, flags):
         main(["gen-example", which, "--out", str(tmp_path)])
         data_path = tmp_path / f"example{which}.csv"
         out = tmp_path / "sweep"
@@ -396,7 +442,7 @@ class TestFitAndSweep:
         models = sorted(out.glob("model_*.json"))
         assert len(models) >= 3
         for path in models:
-            model = load_model(path)
+            model = read_model(path.read_text())
             assert path.read_text() == write_model(model)
             plot = out / path.name.replace("model_", "plot_").replace(".json", ".csv")
             if model.support_size:

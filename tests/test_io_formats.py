@@ -20,16 +20,12 @@ from tropfit.io_formats import (
     ModelRenderer,
     ParseError,
     PlotRenderer,
-    _num_in,
     _split_rows,
     load_dataset,
     load_matrix,
-    load_model,
     load_vector,
     parse_dataset,
     parse_matrix,
-    parse_model,
-    parse_report,
     parse_vector,
     config_echo,
     write_dataset,
@@ -364,27 +360,26 @@ def expected_outcome(parse, raw):
 
     For bytes that do not decode it is ``parse`` of the whole lines before
     the first bad byte, when that is a ParseError with a row, and otherwise
-    the decode's ParseError with no position.  A model is decoded whole.
+    the decode's ParseError with no position.
     """
     try:
         return load_outcome(parse, raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        if parse is not parse_model:
-            lines = raw[: exc.start].decode("utf-8").splitlines(keepends=True)
-            if lines and lines[-1].splitlines() == [lines[-1]]:
-                lines.pop()  # the start of the bad byte's line
-            try:
-                parse("".join(lines))
-            except ParseError as err:
-                if err.row is not None:
-                    return (str(err), err.row, err.col)
+        lines = raw[: exc.start].decode("utf-8").splitlines(keepends=True)
+        if lines and lines[-1].splitlines() == [lines[-1]]:
+            lines.pop()  # the start of the bad byte's line
+        try:
+            parse("".join(lines))
+        except ParseError as err:
+            if err.row is not None:
+                return (str(err), err.row, err.col)
         return (str(not_text(exc)), None, None)
 
 
 def assert_loads_as_expected(path):
     """Each loader on ``path`` has expected_outcome of its parser on the file's bytes."""
     raw = path.read_bytes()
-    for load, parse in [*LOADERS, (load_model, parse_model)]:
+    for load, parse in LOADERS:
         assert load_outcome(load, path) == expected_outcome(parse, raw)
 
 
@@ -938,25 +933,21 @@ inf_tokens = st.builds(
 class TestOneInfDecoder:
     @settings(max_examples=200, deadline=None)
     @given(inf_tokens)
-    def test_cell_and_json_decoders_agree_on_inf_tokens(self, token):
+    def test_every_inf_token_decodes_to_its_infinity(self, token):
         want = -math.inf if token.strip().startswith("-") else math.inf
-        assert parse_cell(token, 1, 1) == _num_in(token, "key") == want
+        assert parse_cell(token, 1, 1) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=" \t+-.0123456789eEiInNfFtyY", max_size=8))
     def test_no_other_text_decodes_to_an_infinity(self, text):
         try:
-            json_value = _num_in(text, "key")
-        except ParseError:
-            json_value = None
-        try:
             cell_value = parse_cell(text, 1, 1)
         except ParseError:
             cell_value = None
-        if json_value is not None:  # a JSON string is only ever an inf token
-            assert cell_value == json_value
         if cell_value is not None and math.isinf(cell_value):
-            assert json_value == cell_value
+            token = text.strip().lower()
+            assert token in ("inf", "+inf", "-inf")
+            assert cell_value == (-math.inf if token == "-inf" else math.inf)
 
 
 def sample_model(**kw):
@@ -975,21 +966,21 @@ def sample_model(**kw):
 
 
 class TestModelJson:
-    def test_round_trip_with_pruned_region(self):
+    def test_round_trip_with_pruned_region(self, read_model):
         m = sample_model()
-        again = parse_model(write_model(m))
+        again = read_model(write_model(m))
         assert np.array_equal(m.slopes, again.slopes)
         assert np.array_equal(m.intercepts, again.intercepts)
         assert (m.p, m.theta, m.estimator, m.seed) == (again.p, again.theta, again.estimator, again.seed)
         assert (m.rms, m.max_abs) == (again.rms, again.max_abs)
 
-    def test_infinite_p_round_trips(self):
+    def test_infinite_p_round_trips(self, read_model):
         m = sample_model(p=math.inf)
-        assert parse_model(write_model(m)).p == math.inf
+        assert read_model(write_model(m)).p == math.inf
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_every_model_that_constructs_round_trips(self, draw):
+    def test_every_model_that_constructs_round_trips(self, read_model, draw):
         pieces, dim = draw.draw(st.integers(1, 4)), draw.draw(st.integers(1, 3))
         extended = st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf]))
         m = PwlModel(
@@ -1011,7 +1002,7 @@ class TestModelJson:
         doc = json.loads(text, parse_constant=refuse)
         assert type(m.p) is float and type(m.theta) is float
         assert all(type(doc[key]) in (float, str) for key in ("p", "theta"))  # an int p is written as 1.0
-        again = parse_model(text)
+        again = read_model(text)
         assert again.slopes.tobytes() == m.slopes.tobytes()
         assert again.intercepts.tobytes() == m.intercepts.tobytes()
         assert (again.p, again.theta, again.estimator, again.seed) == (m.p, m.theta, m.estimator, m.seed)
@@ -1059,105 +1050,25 @@ class TestModelJson:
             with pytest.raises(ValueError, match="slopes"):
                 render(sample_model(slopes=other, intercepts=np.zeros(other.shape[0])))
 
-    def test_missing_estimator_is_schema_error(self):
-        doc = json.loads(write_model(sample_model()))
-        del doc["estimator"]
-        with pytest.raises(ParseError, match="estimator"):
-            parse_model(json.dumps(doc))
-
-    def test_support_consistency_checked(self):
-        doc = json.loads(write_model(sample_model()))
-        doc["support"] = 3
-        with pytest.raises(ParseError, match="support"):
-            parse_model(json.dumps(doc))
-
-    @pytest.mark.parametrize("value", [7, 3, "banana", True, 2.0, None])
-    def test_dim_checked(self, value):
-        # sample_model has 2-column slopes
-        doc = json.loads(write_model(sample_model()))
-        doc["dim"] = value
-        with pytest.raises(ParseError, match="dim"):
-            parse_model(json.dumps(doc))
-
-    @staticmethod
-    def with_value(path, value):
-        doc = json.loads(write_model(sample_model()))
-        *outer, last = path
-        target = doc
-        for key in outer:
-            target = target[key]
-        target[last] = value
-        return json.dumps(doc)
-
-    @pytest.mark.parametrize("path", [("theta",), ("slopes", 0, 0), ("intercepts", 0), ("errors", "rms")])
-    def test_integer_beyond_float_range_is_parse_error(self, path):
-        with pytest.raises(ParseError):
-            parse_model(self.with_value(path, 10**400))
-
-    @pytest.mark.parametrize(
-        "path", [("p",), ("theta",), ("slopes", 1, 0), ("intercepts", 2), ("errors", "max_abs")]
-    )
-    def test_nan_is_parse_error(self, path):
-        with pytest.raises(ParseError):
-            parse_model(self.with_value(path, math.nan))
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, "inf"])
-    def test_infinite_slope_is_parse_error(self, value):
-        with pytest.raises(ParseError, match="slopes must be finite"):
-            parse_model(self.with_value(("slopes", 2, 1), value))
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_empty_slopes_and_intercepts_are_parse_error(self, dim):
-        # a model has at least one piece, whatever width it declares
-        doc = json.loads(write_model(sample_model()))
-        doc.update(dim=dim, slopes=[], intercepts=[], support=0)
-        with pytest.raises(ParseError):
-            parse_model(json.dumps(doc))
-
-    def test_invalid_json(self):
-        with pytest.raises(ParseError):
-            parse_model("{not json")
-        with pytest.raises(ParseError):
-            parse_model("[1,2]")
-        with pytest.raises(ParseError, match="nested"):
-            parse_model("[" * 100000)  # the decoder's recursion limit
-
 
 class TestReportJson:
     def test_round_trip(self):
         A = np.array([[0.0, 5, 2], [4, 1, 0], [0, 1, 0]])
         sol = greedy_sparse_solve(FitProblem(A, np.array([3.0, 1, 0]), p=1, theta=1.0))
         text = write_report(sol, config={"command": "solve", "seed": 0})
-        doc = parse_report(text)
+        doc = json.loads(text)
         assert doc["support"] == [2, 0]
         assert doc["error_p"] == 1.0
         assert doc["infeasible"] is False
         assert doc["config"]["seed"] == 0
 
     def test_infeasible_report(self):
-        doc = parse_report(write_report(None))
+        doc = json.loads(write_report(None))
         assert doc["infeasible"] is True and doc["support"] == []
 
     def test_infeasible_report_keeps_full_support_error(self):
-        doc = parse_report(write_report(None, full_support_error=math.inf))
-        assert doc["full_support_error"] == math.inf
-
-    def test_invalid_json(self):
-        with pytest.raises(ParseError, match="nested"):
-            parse_report("[" * 100000)
-
-    def test_infinite_bound_token(self):
-        text = write_report(None).replace('"ratio_bound": null', '"ratio_bound": "inf"')
-        assert parse_report(text)["ratio_bound"] == math.inf
-
-    @pytest.mark.parametrize("value", ["1" + "0" * 400, "NaN"], ids=["huge-integer", "nan"])
-    def test_integer_beyond_float_range_and_nan_are_parse_errors(self, value):
-        for key in ("error_p", "full_support_error"):
-            doc = json.loads(write_report(None, full_support_error=1.0))
-            text = json.dumps(doc).replace(f'"{key}": {json.dumps(doc[key])}', f'"{key}": {value}')
-            assert value in text
-            with pytest.raises(ParseError, match=key):
-                parse_report(text)
+        doc = json.loads(write_report(None, full_support_error=math.inf))
+        assert float(doc["full_support_error"]) == math.inf
 
 
 class TestPlotRenderer:
@@ -1189,8 +1100,6 @@ PARSERS = {
     "matrix": parse_matrix,
     "vector": parse_vector,
     "dataset": parse_dataset,
-    "model": parse_model,
-    "report": parse_report,
 }
 
 
@@ -1202,8 +1111,6 @@ class TestFuzz:
             "matrix": write_matrix(np.array([[1.0, NEG], [2.5, math.inf]]), header=True),
             "vector": write_vector(np.array([1.0, -2.0, NEG])),
             "dataset": write_dataset(Dataset(np.array([[1.0], [2.0]]), np.array([0.5, 1.5]))),
-            "model": write_model(sample_model()),
-            "report": write_report(None),
         }
         alphabet = b"0123456789.,-+einf{}[]\"\n #"
         for _ in range(3000):

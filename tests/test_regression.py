@@ -66,6 +66,30 @@ class TestSlopeSet:
         s = SlopeSet(np.array([[1.0], [1.0 + 1e-13]]), origin="grid")
         assert s.size == 2
 
+    def test_a_flat_array_is_a_column(self):
+        assert np.array_equal(SlopeSet(np.array([1.0, -2.0])).slopes, [[1.0], [-2.0]])
+
+
+ABS_MODEL = PwlModel(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), p=1, theta=0.0, estimator="sgle")
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: SlopeSet(np.zeros((2, 2, 2))), ShapeError, "K x n slope array"),
+        (lambda: SlopeSet(np.zeros((0, 2))), ShapeError, "K x n slope array"),
+        (lambda: SlopeSet(np.array([[1.0], [np.inf]])), ValueError, "slopes must be finite"),
+        (lambda: grid_slopes([0.0, 0.0], [1.0], 0.5), ShapeError, "same length"),
+        (lambda: grid_slopes([0.0, 1.0], [1.0, 0.0], 0.5), ValueError, "hi must be >= lo"),
+        (lambda: gradient_slopes(Dataset(np.eye(2), np.zeros(2))), ValueError, "more samples than dimensions"),
+        (lambda: evaluate(ABS_MODEL, np.zeros((3, 2))), ShapeError, "points of dimension 2 for a 1-D model"),
+    ],
+    ids=["3-d-slopes", "no-slopes", "inf-slope", "corner-lengths", "hi-below-lo", "m-equals-n", "point-dimension"],
+)
+def test_documented_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
 
 def reference_dedup(rows):
     """First occurrences under tuple keys, where -0.0 and 0.0 are one key."""
@@ -446,7 +470,7 @@ class TestFitEvaluateScore:
     @pytest.mark.parametrize("width", [1, 2])
     def test_model_without_pieces_is_refused(self, width):
         # as SlopeSet refuses an empty slope array; write_model would write it
-        # as "slopes": [], which reads back as a 1-D model
+        # as "slopes": [], which holds no width
         with pytest.raises(ShapeError):
             PwlModel(np.zeros((0, width)), np.zeros(0), p=1, theta=0.0, estimator="sgle")
 

@@ -1008,7 +1008,8 @@ class TestSelectBest:
         state = GreedyState(A, b)
         size = state.m + 1 if chunk == "m + 1" else int(chunk)
         with mock.patch.object(solver, "_CHUNK", size):
-            for p in (0.5, 1.0, 2.0, 150.0, math.inf):
+            # 0.01 and 2^40 are past the stale-gain cutoff: their memos record no gain
+            for p in (0.01, 0.5, 1.0, 2.0, 150.0, 2.0**40, math.inf):
                 memo = _PickMemo(p, state.n)
                 cur_error = state.empty_error
                 in_support = np.zeros(state.n, dtype=bool)
@@ -1017,6 +1018,11 @@ class TestSelectBest:
                     assert j == eager_best_column(state, cur_error, in_support, p), (size, p)
                     cur_error = np.minimum(cur_error, state.e0[:, j])
                     in_support[j] = True
+
+    def test_a_memo_of_another_norm_order_is_refused(self):
+        state = GreedyState(A_REF, B_REF)
+        with pytest.raises(ValueError, match="memo of a run at norm order 2.0 on 3 columns, asked for 1.0"):
+            state.select_best(state.empty_error, np.zeros(state.n, dtype=bool), 1.0, _PickMemo(2.0, state.n))
 
     def test_select_best_holds_no_m_by_n_transient(self):
         rng = np.random.default_rng(4)
