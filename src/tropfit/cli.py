@@ -2,9 +2,12 @@
 
 Outputs land in --out (default: current directory), which is created
 when the first file is written, so a command that fails before writing
-leaves no directory behind.  Every table and report embeds the invoked
-configuration and seed, so runs replay bit-identically; io_formats writes
-every file.  Exit codes: 0 ok, 2 infeasible, 1 error.
+leaves no directory behind.  Every table and report embeds a replay record
+of what decides its outputs: the command, its inputs and options, and the
+seed of bench and gen-example, the only commands that draw at random.  It
+leaves out --out and bench's --threads, which change no value, so a command
+writes the same bytes into any directory.  io_formats writes every file.
+Exit codes: 0 ok, 2 infeasible, 1 error.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def example3_dataset() -> Dataset:
 
 
 def _config(args: argparse.Namespace, **options) -> dict:
-    """Replay record embedded in every output file."""
-    return {"command": args.command, "seed": args.seed, "out": str(args.out), **options}
+    """Replay record embedded in every output file: the values that decide its outputs."""
+    return {"command": args.command, **options}
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], config: dict) -> None:
@@ -227,7 +230,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         estimator=args.estimator,
         **source,
     )
-    model = fit(data, slopes, problem, seed=args.seed)
+    model = fit(data, slopes, problem)
     s = _scored(model)
     _fit_writer(data, slopes, config)(out / "model.json", out / "fit_plot.csv", model)
     _write_table(
@@ -271,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_label, label = _labeler(ps), _labeler(budgets)
     write_fit = _fit_writer(data, slopes, config)
     rows, lines = [], []
-    for (p, val), model in zip(cells, fit_path(data, slopes, problems, args.seed)):
+    for (p, val), model in zip(cells, fit_path(data, slopes, problems)):
         where = f"p={p_label(p)} budget={label(val)}  "
         if isinstance(model, Infeasible):
             rows.append([p, val, None, None, None, True])
@@ -368,7 +371,8 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
 def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     m = n = args.size
-    config = _config(args, threads=args.threads, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
+    # the thread count goes unrecorded: run_bench's report is the same at any count
+    config = _config(args, seed=args.seed, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
     t0 = time.perf_counter()
     report = run_bench(args.trials, m, n, args.delta, args.p, args.seed, args.threads)
     elapsed = time.perf_counter() - t0
@@ -409,7 +413,7 @@ def cmd_gen_example(args: argparse.Namespace) -> int:
     else:
         data = example3_dataset()
     path = Path(args.out) / f"example{args.which}.csv"
-    echo = io_formats.config_echo(_config(args, which=args.which))
+    echo = io_formats.config_echo(_config(args, seed=args.seed, which=args.which))
     io_formats.save_text(path, io_formats.write_dataset(data, comment=echo))
     print(path)
     return 0
@@ -454,7 +458,7 @@ def _check_example1() -> tuple[bool, str]:
         for theta in EXAMPLE1_P1
         for estimator in ("sgle", "smmae")
     ]
-    models = fit_path(data, slopes, problems, seed=0)  # one greedy run at p = 1
+    models = fit_path(data, slopes, problems)  # one greedy run at p = 1
     for theta, (rms, supp) in EXAMPLE1_P1.items():
         s = _scored(next(models))
         sm = _scored(next(models))
@@ -472,7 +476,7 @@ def _check_example2() -> tuple[bool, str]:
     problems = [FitProblem(p=150, epsilon=1e8, estimator=e) for e in ("sgle", "smmae")]
     for seed in EXAMPLE2_SEEDS:
         data = example2_dataset(seed)
-        sgle, smmae = fit_path(data, slopes, problems, seed=seed)
+        sgle, smmae = fit_path(data, slopes, problems)
         if isinstance(sgle, Infeasible):
             continue
         s, sm = _scored(sgle), _scored(smmae)
@@ -505,7 +509,7 @@ def _check_example3() -> tuple[bool, str]:
             eps /= 2.0
             yield FitProblem(p=2, epsilon=eps)
 
-    fits = fit_path(data, slopes, halvings(), seed=0)  # one greedy run at p = 2
+    fits = fit_path(data, slopes, halvings())  # one greedy run at p = 2
     s = _scored(next(fits))
     ok = s.rms < 1.0 and s.support <= 6
     supports.append(s.support)
@@ -546,7 +550,6 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master seed recorded in outputs")
     sub.add_argument("--out", default=".", help="output directory")
 
 
@@ -605,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--size", type=int, default=DESK_SCALE, help=f"square instance size (paper: {PAPER_SCALE})")
     bench.add_argument("--delta", type=float, default=2.5, help="target max-abs error")
     bench.add_argument("--p", type=float, default=150.0, help="norm order for the heuristic arm")
-    bench.add_argument("--threads", type=int, default=1, help="trials run in parallel")
+    bench.add_argument("--threads", type=int, default=1, help="trials run in parallel; outputs are the same")
+    bench.add_argument("--seed", type=int, default=0, help="master seed of the trial instances")
     _add_common(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -615,6 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen-example", help="write a synthetic example dataset")
     gen.add_argument("which", type=int, choices=[1, 2, 3])
+    gen.add_argument("--seed", type=int, default=0, help="seed of example 2's points and noise")
     _add_common(gen)
     gen.set_defaults(func=cmd_gen_example)
 

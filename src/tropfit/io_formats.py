@@ -315,7 +315,6 @@ class ModelRenderer:
             "p": model.p,
             "theta": model.theta,
             "estimator": model.estimator,
-            "seed": model.seed,
             "errors": {"rms": model.rms, "max_abs": model.max_abs},
             "support": model.support_size,
         }

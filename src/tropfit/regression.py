@@ -37,7 +37,7 @@ __all__ = [
     "score",
 ]
 
-DEFAULT_GRID_CAP = 100_000
+GRID_CAP = 100_000  # grid_slopes refuses larger grids
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ class SlopeSet:
     """Candidate slope vectors, one per prospective affine region.
 
     Duplicate slopes collapse to identical design-matrix columns and only
-    waste greedy iterations, so construction deduplicates (first occurrence
-    wins, keeping column order stable) and warns when anything is dropped.
+    waste greedy iterations, so construction drops exact duplicates (first
+    occurrence wins, keeping column order stable) and warns when anything is
+    dropped.  ``origin`` is a label for the replay record.
     """
 
     slopes: np.ndarray
@@ -87,17 +88,9 @@ class SlopeSet:
             raise ShapeError(f"expected K x n slope array, got shape {s.shape}")
         if not np.isfinite(s).all():
             raise ValueError("slopes must be finite")
-        if self.origin == "gradients":
-            # near-duplicates from neighboring local fits: 10 significant
-            # digits ~ relative tolerance 1e-9
-            first: dict[tuple, int] = {}
-            for i, row in enumerate(s):
-                first.setdefault(tuple(f"{v:.10e}" for v in row), i)
-            keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-        else:
-            # unique compares rows by their bytes, so + 0.0 folds -0.0 into
-            # 0.0; it returns each row's first index, sorted back into order
-            keep = np.sort(np.unique(s + 0.0, axis=0, return_index=True)[1])
+        # unique compares rows by their bytes, so + 0.0 folds -0.0 into
+        # 0.0; it returns each row's first index, sorted back into order
+        keep = np.sort(np.unique(s + 0.0, axis=0, return_index=True)[1])
         if keep.size < s.shape[0]:
             warnings.warn(
                 f"dropped {s.shape[0] - keep.size} duplicate slope vector(s)",
@@ -126,7 +119,6 @@ class PwlModel:
     p: float
     theta: float
     estimator: str
-    seed: int | None = None
     rms: float | None = None
     max_abs: float | None = None
 
@@ -204,10 +196,10 @@ def build_design_matrix(data: Dataset, slopes: SlopeSet) -> np.ndarray:
     return A
 
 
-def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
+def grid_slopes(lo, hi, step: float) -> SlopeSet:
     """Cartesian grid of slopes: per-dimension arithmetic progressions.
 
-    Refuses grids larger than ``cap``: the grid count grows as
+    Refuses grids larger than GRID_CAP: the grid count grows as
     ((hi-lo)/step + 1)^n, so beyond a few dimensions candidate slopes
     should come from gradient_slopes instead.
     """
@@ -226,9 +218,9 @@ def grid_slopes(lo, hi, step: float, cap: int = DEFAULT_GRID_CAP) -> SlopeSet:
     # Python ints: an int64 product wraps (2^64 -> 0) and slips past the cap;
     # a span that overflows to inf is past any cap
     total = math.prod(int(c) + 1 for c in spans) if np.isfinite(spans).all() else math.inf
-    if total > cap:
+    if total > GRID_CAP:
         raise ValueError(
-            f"slope grid of {total} candidates exceeds cap {cap}; "
+            f"slope grid of {total} candidates exceeds cap {GRID_CAP}; "
             "use gradient_slopes to stay tractable in higher dimensions"
         )
     axes = [lo[d] + step * np.arange(int(c) + 1) for d, c in enumerate(spans)]
@@ -243,8 +235,9 @@ def gradient_slopes(data: Dataset, k_neighbors: int | None = None) -> SlopeSet:
     For each sample, an affine function is fit to its k nearest points
     (k defaults to 2n+1, an overdetermined fit with minimal smoothing) and
     the fitted gradient becomes a candidate slope.  Rank-deficient
-    neighborhoods are skipped with a warning.  Near-duplicate gradients are
-    merged by the SlopeSet constructor.
+    neighborhoods are skipped with a warning.  Near-duplicate gradients,
+    equal to 10 significant digits (relative tolerance ~1e-9), are merged
+    into the first of them.
     """
     n = data.dim
     m = len(data)
@@ -276,27 +269,27 @@ def gradient_slopes(data: Dataset, k_neighbors: int | None = None) -> SlopeSet:
         warnings.warn(f"skipped {skipped} rank-deficient neighborhood(s)", stacklevel=2)
     if not slopes:
         raise ValueError("no usable gradient estimates (all neighborhoods degenerate)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicate gradients are expected
-        return SlopeSet(np.array(slopes), origin="gradients")
+    # neighboring local fits give near-duplicates, expected and merged silently
+    first: dict[tuple, np.ndarray] = {}
+    for row in slopes:
+        first.setdefault(tuple(f"{v + 0.0:.10e}" for v in row), row)  # + 0.0: -0.0 is 0.0
+    return SlopeSet(np.array(list(first.values())), origin="gradients")
 
 
-def fit(data: Dataset, slopes: SlopeSet, problem: FitProblem, seed: int | None = None) -> PwlModel:
+def fit(data: Dataset, slopes: SlopeSet, problem: FitProblem) -> PwlModel:
     """Fit intercepts by sparse max-plus solving; Infeasible propagates.
 
     A budget loose enough to be met by the empty support yields a model with
     every region pruned; its error fields stay None since there is nothing
     to evaluate.
     """
-    (model,) = fit_path(data, slopes, [problem], seed)
+    (model,) = fit_path(data, slopes, [problem])
     if isinstance(model, Infeasible):
         raise model
     return model
 
 
-def fit_path(
-    data: Dataset, slopes: SlopeSet, problems: Iterable[FitProblem], seed: int | None = None
-) -> Iterator[PwlModel | Infeasible]:
+def fit_path(data: Dataset, slopes: SlopeSet, problems: Iterable[FitProblem]) -> Iterator[PwlModel | Infeasible]:
     """Fit each problem in turn on one instance, yielding its model or its Infeasible.
 
     One GreedyState serves all problems.  It is built from the points and
@@ -324,7 +317,6 @@ def fit_path(
             p=problem.p,
             theta=problem.budget,
             estimator=solution.estimator,
-            seed=seed,
         )
         if solution.support:
             s = score(model, data)

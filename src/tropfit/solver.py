@@ -71,6 +71,7 @@ __all__ = [
 
 SGLE = "sgle"
 SMMAE = "smmae"
+BRUTE_FORCE_CAP = 20  # brute_force_oracle refuses more columns: it walks up to 2^n supports
 
 
 _CHUNK = 16  # seed rows: the largest-error rows that select_best's cheap bounds read
@@ -722,18 +723,18 @@ def smmae_lift(sgle: SparseSolution) -> SparseSolution:
     )
 
 
-def brute_force_oracle(problem: FitProblem, max_columns: int = 20) -> SparseSolution:
+def brute_force_oracle(problem: FitProblem) -> SparseSolution:
     """Exact minimum-support solution by exhaustive support enumeration.
 
     Independent verifier for the greedy: walks supports in order of
     increasing cardinality (lexicographic within) and returns the first that
     meets the budget, which is optimal.  Infeasible is raised before any
     walk, by the greedy's rule: the full support misses the budget.
-    Refuses n > ``max_columns``.
+    Refuses n > BRUTE_FORCE_CAP.
     """
     state = GreedyState(problem.A, problem.b)
-    if state.n > max_columns:
-        raise ValueError(f"brute force refused: {state.n} columns > cap {max_columns}")
+    if state.n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force refused: {state.n} columns > cap {BRUTE_FORCE_CAP}")
     p = problem.p
     budget = problem.budget
     full = state.full_support_norm(p)

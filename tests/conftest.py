@@ -20,7 +20,6 @@ def decode_model(text: str) -> PwlModel:
         p=float(doc["p"]),
         theta=float(doc["theta"]),
         estimator=doc["estimator"],
-        seed=doc["seed"],
         rms=_number(doc["errors"]["rms"]),
         max_abs=_number(doc["errors"]["max_abs"]),
     )

@@ -51,7 +51,10 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["support"] == [2, 0]
         assert report["infeasible"] is False
-        assert report["config"]["seed"] == 0
+        # the values that decide the outputs, and no seed or output directory
+        assert report["config"] == {
+            "command": "solve", "matrix": str(a), "vector": str(b), "p": 1.0, "theta": 1.0, "estimator": "sgle"
+        }
         assert "support [2, 0]" in capsys.readouterr().out
 
     def test_epsilon_flag(self, worked_files, tmp_path):
@@ -306,6 +309,8 @@ class TestFitAndSweep:
             (["--grid-step", "1", "--grid-lo", "-2", "--grid-hi", "2", "--neighbors", "4"], "--neighbors"),
             (["--gradient-slopes", "--grid-lo", "-2"], "--grid-lo"),
             (["--gradient-slopes", "--grid-hi", "2"], "--grid-hi"),
+            (["--grid-step", "0.5"], "--grid-step requires --grid-lo and --grid-hi"),
+            (["--gradient-slopes", "--neighbors", "1"], "need at least 2 neighbors to fit an affine function"),
         ],
     )
     @pytest.mark.parametrize("command", ["fit", "sweep"])
@@ -522,6 +527,8 @@ class TestGenerators:
         assert main(["gen-example", "2", "--seed", "9", "--out", str(tmp_path)]) == 0
         d = load_dataset(tmp_path / "example2.csv")
         assert np.array_equal(d.f, example2_dataset(9).f)
+        assert main(["gen-example", "2", "--seed", "10", "--out", str(tmp_path / "10")]) == 0
+        assert not np.array_equal(load_dataset(tmp_path / "10" / "example2.csv").f, d.f)
 
 
 class TestBench:
@@ -550,8 +557,10 @@ class TestBench:
         assert len(lines) == 5  # config + header + 3 trials
         summary = json.loads((tmp_path / "bench_summary.json").read_text())
         assert summary["trials"] == 3
-        assert summary["config"]["seed"] == 1
-        assert summary["config"]["threads"] == 1
+        # the seed first after the command; no thread count or output directory
+        assert summary["config"] == {
+            "command": "bench", "seed": 1, "trials": 3, "rows": 30, "cols": 30, "delta": 2.5, "p": 150.0
+        }
 
     @pytest.mark.parametrize("name, value", [("trials", -2), ("threads", 0), ("threads", -3)])
     def test_bad_counts_are_rejected(self, tmp_path, capsys, name, value):
@@ -585,6 +594,11 @@ class TestBench:
         [
             (["solve", "A.csv", "b.csv", "--theta", "1"], "--norm-inf-greedy"),
             (["bench"], "--paper-scale"),
+            # a seed only where a command draws at random: bench and gen-example
+            (["solve", "A.csv", "b.csv", "--theta", "1"], "--seed=1"),
+            (["fit", "data.csv", "--grid-step", "1", "--theta", "1"], "--seed=1"),
+            (["sweep", "data.csv", "--p", "1", "--theta", "1"], "--seed=1"),
+            (["repro"], "--seed=1"),
         ],
     )
     def test_removed_aliases_are_refused(self, tmp_path, capsys, argv, flag):
@@ -610,8 +624,47 @@ def test_command_failing_before_its_first_write_leaves_no_out_directory(worked_f
     assert main(["bench", "--trials", "-2", "--size", "5", "--out", str(bench_out)]) == 1
     argv = ["solve", str(tmp_path / "missing.csv"), str(b), "--p", "1", "--theta", "1", "--out", str(solve_out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.count("error:") == 2
-    assert not (tmp_path / "X").exists() and not (tmp_path / "Y").exists()
+    main(["gen-example", "1", "--out", str(tmp_path)])
+    grid = ["--grid-lo", "-2", "--grid-hi", "2", "--grid-step", "1"]
+    argv = ["sweep", str(tmp_path / "example1.csv"), *grid, "--p", "1", "--theta", ",", "--out", str(tmp_path / "Z")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3
+    assert "error: sweep needs at least one norm order and one budget" in err
+    assert not any((tmp_path / name).exists() for name in "XYZ")
+
+
+GRID = ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.125"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{A}", "{b}", "--p", "1", "--theta", "1"],
+        ["solve", "{A0}", "{b0}", "--p", "2", "--theta", "1"],  # infeasible: a report, exit 2
+        ["fit", "{data}", *GRID, "--p", "1", "--theta", "0.5"],
+        ["sweep", "{data}", *GRID, "--p", "1,2", "--theta", "0.15,1"],
+        ["gen-example", "2", "--seed", "3"],
+        ["bench", "--trials", "3", "--size", "30", "--threads", "{threads}"],
+    ],
+    ids=["solve", "solve-infeasible", "fit", "sweep", "gen-example", "bench"],
+)
+def test_a_command_writes_the_same_bytes_in_any_directory(worked_files, tmp_path, argv):
+    # nothing in the replay record names the output directory, or bench's thread count
+    a, b = worked_files
+    (tmp_path / "A0.csv").write_text("0\n0\n")
+    (tmp_path / "b0.csv").write_text("0\n5\n")
+    main(["gen-example", "1", "--out", str(tmp_path)])
+    paths = {"A": a, "b": b, "A0": tmp_path / "A0.csv", "b0": tmp_path / "b0.csv", "data": tmp_path / "example1.csv"}
+    written = []
+    for run, threads in (("one", 1), ("other", 3)):
+        out = tmp_path / run / "out"
+        filled = [tok.format(threads=threads, **paths) for tok in argv]
+        assert main([*filled, "--out", str(out)]) in (0, 2)
+        files = sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
+        # bench_summary.json holds the run's wall time
+        written.append({name: (out / name).read_bytes() for name in files if name.name != "bench_summary.json"})
+    assert written[0] and written[0] == written[1]
 
 
 class TestRepro:
@@ -628,6 +681,32 @@ class TestRepro:
 
         ok, detail = _check_worked_example()
         assert ok, detail
+
+    @pytest.mark.parametrize(
+        "seeds, passed, detail",
+        [((0,), False, "no feasible noise draw among candidate seeds"), ((0, 5), True, "seed=5:")],
+    )
+    def test_example2_check_takes_the_first_feasible_draw(self, monkeypatch, seeds, passed, detail):
+        # seed 0's full support misses the budget
+        import tropfit.cli as cli
+
+        monkeypatch.setattr(cli, "EXAMPLE2_SEEDS", seeds)
+        ok, text = cli._check_example2()
+        assert ok is passed and text.startswith(detail)
+
+    def test_a_check_that_raises_fails_the_harness(self, tmp_path, monkeypatch, capsys):
+        import tropfit.cli as cli
+
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "REPRO_CHECKS", [("broken", broken), ("worked-example", cli._check_worked_example)])
+        assert main(["repro", "--out", str(tmp_path)]) == 1
+        assert "FAIL  broken" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "repro.json").read_text())
+        assert [(r["check"], r["pass"]) for r in doc["results"]] == [("broken", False), ("worked-example", True)]
+        assert doc["results"][0]["detail"] == "error: boom"
+        assert doc["config"] == {"command": "repro"}
 
     def test_tampered_expectations_flagged(self, monkeypatch):
         # negative control: a drifted support count must turn the check red

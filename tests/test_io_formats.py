@@ -809,7 +809,6 @@ def reference_write_model(m):
         "p": m.p,
         "theta": m.theta,
         "estimator": m.estimator,
-        "seed": m.seed,
         "errors": {"rms": m.rms, "max_abs": m.max_abs},
         "support": m.support_size,
     }
@@ -957,7 +956,6 @@ def sample_model(**kw):
         p=2.0,
         theta=0.75,
         estimator="smmae",
-        seed=7,
         rms=0.125,
         max_abs=0.5,
     )
@@ -971,7 +969,7 @@ class TestModelJson:
         again = read_model(write_model(m))
         assert np.array_equal(m.slopes, again.slopes)
         assert np.array_equal(m.intercepts, again.intercepts)
-        assert (m.p, m.theta, m.estimator, m.seed) == (again.p, again.theta, again.estimator, again.seed)
+        assert (m.p, m.theta, m.estimator) == (again.p, again.theta, again.estimator)
         assert (m.rms, m.max_abs) == (again.rms, again.max_abs)
 
     def test_infinite_p_round_trips(self, read_model):
@@ -989,7 +987,6 @@ class TestModelJson:
             p=draw.draw(st.one_of(st.integers(1, 200), extended)),
             theta=draw.draw(st.one_of(st.integers(0, 10), extended)),
             estimator=draw.draw(st.sampled_from(["sgle", "smmae"])),
-            seed=draw.draw(st.one_of(st.none(), st.integers())),
             rms=draw.draw(st.one_of(st.none(), extended)),
             max_abs=draw.draw(st.one_of(st.none(), extended)),
         )
@@ -1005,7 +1002,7 @@ class TestModelJson:
         again = read_model(text)
         assert again.slopes.tobytes() == m.slopes.tobytes()
         assert again.intercepts.tobytes() == m.intercepts.tobytes()
-        assert (again.p, again.theta, again.estimator, again.seed) == (m.p, m.theta, m.estimator, m.seed)
+        assert (again.p, again.theta, again.estimator) == (m.p, m.theta, m.estimator)
         assert (again.rms, again.max_abs) == (m.rms, m.max_abs)
 
     @settings(max_examples=100, deadline=None)
@@ -1027,7 +1024,6 @@ class TestModelJson:
                 p=draw.draw(st.one_of(st.integers(1, 200), extended_cells)),
                 theta=draw.draw(extended_cells),
                 estimator=draw.draw(st.sampled_from(["sgle", "smmae"])),
-                seed=draw.draw(st.one_of(st.none(), st.integers())),
                 rms=draw.draw(extended),
                 max_abs=draw.draw(extended),
             )
@@ -1055,12 +1051,12 @@ class TestReportJson:
     def test_round_trip(self):
         A = np.array([[0.0, 5, 2], [4, 1, 0], [0, 1, 0]])
         sol = greedy_sparse_solve(FitProblem(A, np.array([3.0, 1, 0]), p=1, theta=1.0))
-        text = write_report(sol, config={"command": "solve", "seed": 0})
+        text = write_report(sol, config={"command": "solve", "p": 1.0})
         doc = json.loads(text)
         assert doc["support"] == [2, 0]
         assert doc["error_p"] == 1.0
         assert doc["infeasible"] is False
-        assert doc["config"]["seed"] == 0
+        assert doc["config"] == {"command": "solve", "p": 1.0}
 
     def test_infeasible_report(self):
         doc = json.loads(write_report(None))

@@ -57,14 +57,10 @@ class TestSlopeSet:
         assert s.size == 2
         assert np.array_equal(s.slopes[:, 0], [1.0, 2.0])  # first occurrence order
 
-    def test_gradient_tolerant_dedup(self):
-        with pytest.warns(UserWarning, match="duplicate"):
-            s = SlopeSet(np.array([[1.0], [1.0 + 1e-13]]), origin="gradients")
-        assert s.size == 1
-
     def test_exact_dedup_keeps_close_grid_values(self):
-        s = SlopeSet(np.array([[1.0], [1.0 + 1e-13]]), origin="grid")
-        assert s.size == 2
+        # the origin is a label: every slope set drops exact duplicates only
+        for origin in ("explicit", "grid", "gradients"):
+            assert SlopeSet(np.array([[1.0], [1.0 + 1e-13]]), origin=origin).size == 2
 
     def test_a_flat_array_is_a_column(self):
         assert np.array_equal(SlopeSet(np.array([1.0, -2.0])).slopes, [[1.0], [-2.0]])
@@ -83,8 +79,22 @@ ABS_MODEL = PwlModel(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), p=1, theta
         (lambda: grid_slopes([0.0, 1.0], [1.0, 0.0], 0.5), ValueError, "hi must be >= lo"),
         (lambda: gradient_slopes(Dataset(np.eye(2), np.zeros(2))), ValueError, "more samples than dimensions"),
         (lambda: evaluate(ABS_MODEL, np.zeros((3, 2))), ShapeError, "points of dimension 2 for a 1-D model"),
+        (
+            lambda: GreedyState(np.zeros((2, 2)), np.zeros(2)).error_vector_of([2]),
+            ShapeError,
+            "support indices out of range for 2 columns",
+        ),
     ],
-    ids=["3-d-slopes", "no-slopes", "inf-slope", "corner-lengths", "hi-below-lo", "m-equals-n", "point-dimension"],
+    ids=[
+        "3-d-slopes",
+        "no-slopes",
+        "inf-slope",
+        "corner-lengths",
+        "hi-below-lo",
+        "m-equals-n",
+        "point-dimension",
+        "support-index",
+    ],
 )
 def test_documented_refusals(call, error, match):
     with pytest.raises(error, match=match):
@@ -111,7 +121,7 @@ def slope_arrays(draw):
 
 class TestSlopeSetDedup:
     @settings(max_examples=300, deadline=None)
-    @given(slope_arrays(), st.sampled_from(["explicit", "grid"]))
+    @given(slope_arrays(), st.sampled_from(["explicit", "grid", "gradients"]))
     def test_equals_the_tuple_key_reference(self, rows, origin):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -184,9 +194,17 @@ def reference_grid(lo, hi, step):
     return np.array(list(itertools.product(*axes)), dtype=np.float64)
 
 
-def matrix_rank_gradient_slopes(data, k):
-    """gradient_slopes with a separate matrix_rank test before each lstsq:
-    the reference that the one-SVD form must equal."""
+def merge_near_duplicates(rows):
+    """The first of each group of rows equal to 10 significant digits, -0.0 and 0.0 alike."""
+    first = {}
+    for row in rows:
+        first.setdefault(tuple(f"{v + 0.0:.10e}" for v in row), row)
+    return np.array(list(first.values()))
+
+
+def matrix_rank_gradients(data, k):
+    """The local gradients of gradient_slopes, unmerged, with a separate
+    matrix_rank test before each lstsq, and the count of skipped neighborhoods."""
     from scipy.spatial import cKDTree
 
     n = data.dim
@@ -201,13 +219,17 @@ def matrix_rank_gradient_slopes(data, k):
             continue
         coef, *_ = np.linalg.lstsq(design, data.f[nb], rcond=None)
         slopes.append(coef[:n])
+    return slopes, skipped
+
+
+def matrix_rank_gradient_slopes(data, k):
+    """gradient_slopes from matrix_rank_gradients: the reference that the one-SVD form must equal."""
+    slopes, skipped = matrix_rank_gradients(data, k)
     if skipped:
         warnings.warn(f"skipped {skipped} rank-deficient neighborhood(s)", stacklevel=2)
     if not slopes:
         raise ValueError("no usable gradient estimates (all neighborhoods degenerate)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SlopeSet(np.array(slopes), origin="gradients")
+    return SlopeSet(merge_near_duplicates(slopes), origin="gradients")
 
 
 @st.composite
@@ -244,6 +266,20 @@ class TestGradientSlopes:
         s = gradient_slopes(d, k_neighbors=4)
         assert s.size == 1
         assert s.slopes[0, 0] == pytest.approx(2.0, abs=1e-9)
+
+    def test_near_duplicate_gradients_merge_into_one_slope(self):
+        # the local fits of an affine function differ in their last bits
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, (200, 2))
+        d = Dataset(x, 0.3 * x[:, 0] - 1.7 * x[:, 1] + 0.1)
+        raw, skipped = matrix_rank_gradients(d, 5)
+        assert skipped == 0 and len(np.unique(raw, axis=0)) > 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the merge leaves no duplicate for SlopeSet to warn of
+            s = gradient_slopes(d)
+        assert s.size == 1 and s.origin == "gradients"
+        assert s.slopes.tobytes() == raw[0].tobytes()  # the first of them
+        assert np.allclose(s.slopes, [[0.3, -1.7]], rtol=0, atol=1e-9)
 
     def test_symmetric_quadratic_center(self):
         x = np.linspace(-1, 1, 21)  # includes 0 with symmetric neighbors
@@ -457,6 +493,11 @@ class TestFitEvaluateScore:
         assert np.array_equal(evaluate(m, x), evaluate(m, x[:, np.newaxis]))
         m2 = PwlModel(np.array([[1.0, 0.0]]), np.array([0.0]), p=1, theta=0.0, estimator="sgle")
         assert evaluate(m2, [3.0, 5.0]) == 3.0
+
+    def test_flat_slopes_are_a_column(self):
+        m = PwlModel(np.array([1.0, -1.0]), np.array([0.0, 0.0]), p=1, theta=0.0, estimator="sgle")
+        assert m.slopes.shape == (2, 1)
+        assert np.array_equal(m.slopes, [[1.0], [-1.0]])
 
     def test_pruned_region_never_wins(self):
         m = PwlModel(np.array([[1.0], [10.0]]), np.array([0.0, NEG]), p=1, theta=0.0, estimator="sgle")

@@ -421,6 +421,11 @@ class TestSubmodularity:
         with pytest.raises(ValueError):
             submodularity_ratio(A_REF, B_REF, 1, [0], [])
 
+    def test_ratio_is_nan_with_an_uncoverable_row(self):
+        # no column covers row 0, so E(L) is infinite and every drop is undefined
+        A = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
+        assert math.isnan(submodularity_ratio(A, np.array([0.0, 1.0]), 2, [], [0, 1]))
+
     def test_finite_p_ratio_at_least_one(self):
         # supermodular E_p: every sampled ratio of -E_p is >= 1 (up to rounding)
         rng = np.random.default_rng(37)
