@@ -5,9 +5,9 @@ when the first file is written, so a command that fails before writing
 leaves no directory behind.  Every table and report embeds a replay record
 of what decides its outputs: the command, its inputs and options, and the
 seed of bench and gen-example, the only commands that draw at random.  It
-leaves out --out and bench's --threads, which change no value, so a command
-writes the same bytes into any directory.  io_formats writes every file.
-Exit codes: 0 ok, 2 infeasible, 1 error.
+leaves out --out, which changes no value, so a command writes the same
+bytes into any directory, and bench on any number of usable CPUs.
+io_formats writes every file.  Exit codes: 0 ok, 2 infeasible, 1 error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,12 +189,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         solution = greedy_sparse_solve(problem)
     except Infeasible as exc:
-        io_formats.save_text(
-            out / "report.json",
-            io_formats.write_report(None, config, exc.full_support_error),
-        )
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+        io_formats.save_text(out / "report.json", io_formats.write_report(None, config, exc.full_support_error))
+        raise
     io_formats.save_text(out / "solution.csv", io_formats.write_vector(solution.x))
     io_formats.save_text(out / "report.json", io_formats.write_report(solution, config))
     print(
@@ -335,22 +330,25 @@ def _bench_trial(seed, m: int, n: int, delta: float, p: float) -> BenchRow:
     )
 
 
-def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, threads: int = 1) -> BenchReport:
+def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int) -> BenchReport:
     """Random-instance comparison: SMMAE heuristic vs the guarantee-free
     l-infinity greedy, both targeting max-abs error <= delta.
 
-    Per-trial seeds spawn deterministically from the master seed, so the
-    report is identical however many threads run.  Trials whose full support
-    cannot meet the budget are recorded as infeasible and excluded from the
-    medians.  Every feasible heuristic row is hard-checked against the
-    guaranteed bound.
+    Trials run in a thread pool of one worker per usable CPU, at most 8.
+    Their seeds spawn deterministically from the master seed, so the report
+    is identical at any CPU count.  Trials whose full support cannot meet
+    the budget are recorded as infeasible and excluded from the medians.
+    Every feasible heuristic row is hard-checked against the guaranteed bound.
     """
-    if trials < 0 or threads < 1:
-        raise ValueError(f"need trials >= 0 and threads >= 1, got trials={trials}, threads={threads}")
+    # imported here, so that the other commands start without it: a few ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got trials={trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the l-infinity greedy warns by design
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=io_formats._usable_cpus()) as pool:
             rows = list(pool.map(lambda s: _bench_trial(s, m, n, delta, p), children))
     feasible = [r for r in rows if not r.infeasible]
     for row in feasible:
@@ -371,10 +369,9 @@ def run_bench(trials: int, m: int, n: int, delta: float, p: float, seed: int, th
 def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     m = n = args.size
-    # the thread count goes unrecorded: run_bench's report is the same at any count
     config = _config(args, seed=args.seed, trials=args.trials, rows=m, cols=n, delta=args.delta, p=args.p)
     t0 = time.perf_counter()
-    report = run_bench(args.trials, m, n, args.delta, args.p, args.seed, args.threads)
+    report = run_bench(args.trials, m, n, args.delta, args.p, args.seed)
     elapsed = time.perf_counter() - t0
     _write_table(
         out / "bench.csv",
@@ -608,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--size", type=int, default=DESK_SCALE, help=f"square instance size (paper: {PAPER_SCALE})")
     bench.add_argument("--delta", type=float, default=2.5, help="target max-abs error")
     bench.add_argument("--p", type=float, default=150.0, help="norm order for the heuristic arm")
-    bench.add_argument("--threads", type=int, default=1, help="trials run in parallel; outputs are the same")
     bench.add_argument("--seed", type=int, default=0, help="master seed of the trial instances")
     _add_common(bench)
     bench.set_defaults(func=cmd_bench)

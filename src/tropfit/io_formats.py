@@ -389,18 +389,17 @@ def write_plot_data(data: Dataset, predicted, comment: str | None = None) -> str
 # 2-core machine two ranges were slower than the serial read in most runs
 # of a 2 or 3 MiB file, by up to 35 ms; they moved a 4 MiB load by -28 to
 # +37 ms, and saved 42-78 ms in every run at 5 and 6 MiB
-# (BENCH_solve-ranges.json, "range_size").  _MAX_RANGES bounds the helpers
-# of one load, each an interpreter of about 8 MB before its values; no load
-# of more than two ranges has been timed.
+# (BENCH_solve-ranges.json, "range_size").  No load of more than two
+# ranges has been timed.
 _RANGE_BYTES = 3 << 20
-_MAX_RANGES = 8
 
 
 def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+    """The worker count of every parallel step, a ranged load's and a bench's:
+    the CPUs this process may run on, at most 8, which bounds the memory of a
+    load's helpers (about 8 MB each) and of a bench's concurrent trials."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, 8)
 
 
 def _line_start(fh, at: int) -> int:
@@ -426,7 +425,7 @@ def _bounds(fh) -> list[float]:
     is one range, [0, size]: it loads serially.
     """
     size = os.fstat(fh.fileno()).st_size
-    count = min(_usable_cpus(), _MAX_RANGES, size // _RANGE_BYTES)
+    count = min(_usable_cpus(), size // _RANGE_BYTES)
     if count < 2 or isinstance(fh.name, int):
         return [0, math.inf]
     cuts = {_line_start(fh, size * k // count) for k in range(1, count)}

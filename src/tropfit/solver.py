@@ -88,14 +88,20 @@ class Infeasible(Exception):
         self.full_support_error = full_support_error
 
 
+def _check_norm_order(p: float) -> None:
+    if not p > 0:  # NaN fails too; math.inf passes
+        raise ValueError(f"norm order must be positive, got {p}")
+
+
 def pnorm(v, p: float) -> float:
     """Overflow-safe lp norm of ``|v|``; ``p`` may be ``math.inf``.
 
     Scales by the largest magnitude M and evaluates M * (sum (v/M)^p)^(1/p),
     so high orders like p = 150 never overflow for finite input.  It is the
     one-row case of _row_norms, so a pick's batched norms and this one agree
-    bit for bit.
+    bit for bit.  Raises ValueError unless p > 0.
     """
+    _check_norm_order(p)
     a = np.abs(np.asarray(v, dtype=np.float64))
     if a.size == 0:
         return 0.0
@@ -270,7 +276,7 @@ class _PickMemo:
 
 def _theta_norm(v, p: float) -> float:
     """theta-domain error of an error vector: ||v||_p, or half its max for p = inf."""
-    if math.isinf(p):
+    if p == math.inf:  # any other order goes through pnorm's check
         return 0.5 * float(v.max())
     return pnorm(v, p)
 
@@ -319,8 +325,7 @@ class FitProblem:
     def __post_init__(self):
         if self.estimator not in (SGLE, SMMAE):
             raise ValueError(f"estimator must be '{SGLE}' or '{SMMAE}', got {self.estimator!r}")
-        if not self.p > 0:
-            raise ValueError(f"norm order must be positive, got {self.p}")
+        _check_norm_order(self.p)
         if self.p < 1.0:
             warnings.warn(
                 f"norm order p={self.p} < 1 is a quasi-norm: no supermodularity "
@@ -633,6 +638,7 @@ class GreedyPath:
     """
 
     def __init__(self, state: GreedyState, p: float):
+        self.full_norm = state.full_support_norm(p)  # raises first for an invalid p
         if math.isinf(p):
             warnings.warn(
                 "the l-infinity greedy has no approximation guarantee and can be "
@@ -641,7 +647,6 @@ class GreedyPath:
             )
         self.p = p
         self.state = state
-        self.full_norm = state.full_support_norm(p)
         self.cur_error = state.empty_error  # read-only: each pick binds a new vector
         self.selected: list[int] = []
         self._in_support = np.zeros(state.n, dtype=bool)

@@ -107,7 +107,8 @@ class TestSolve:
         rc = main(["solve", str(a), str(b), "--p", "2", "--theta", "1", "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads((tmp_path / "report.json").read_text())["infeasible"] is True
-        assert "infeasible" in capsys.readouterr().err
+        # main alone prints the message, once
+        assert capsys.readouterr() == ("", "infeasible: full support error 5 exceeds budget 1\n")
 
     def test_infeasible_report_records_full_support_error(self, tmp_path):
         a = tmp_path / "A.csv"
@@ -537,10 +538,15 @@ class TestBench:
         r2 = run_bench(trials=4, m=40, n=40, delta=2.5, p=150.0, seed=11)
         assert [row.__dict__ for row in r1.rows] == [row.__dict__ for row in r2.rows]
 
-    def test_threads_do_not_change_output(self):
-        seq = run_bench(trials=6, m=30, n=30, delta=2.5, p=150.0, seed=5, threads=1)
-        par = run_bench(trials=6, m=30, n=30, delta=2.5, p=150.0, seed=5, threads=3)
-        assert [row.__dict__ for row in seq.rows] == [row.__dict__ for row in par.rows]
+    def test_threads_do_not_change_output(self, monkeypatch):
+        # the pool has one worker per usable CPU
+        rows = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(io_formats, "_usable_cpus", lambda: cpus)
+            rows.append([row.__dict__ for row in run_bench(trials=6, m=30, n=30, delta=2.5, p=150.0, seed=5).rows])
+        assert rows[0] == rows[1]
+        with pytest.raises(TypeError):
+            run_bench(trials=6, m=30, n=30, delta=2.5, p=150.0, seed=5, threads=1)
 
     def test_heuristic_rows_respect_bound(self):
         report = run_bench(trials=10, m=50, n=50, delta=2.5, p=150.0, seed=2)
@@ -562,15 +568,14 @@ class TestBench:
             "command": "bench", "seed": 1, "trials": 3, "rows": 30, "cols": 30, "delta": 2.5, "p": 150.0
         }
 
-    @pytest.mark.parametrize("name, value", [("trials", -2), ("threads", 0), ("threads", -3)])
+    @pytest.mark.parametrize("name, value", [("trials", -2)])
     def test_bad_counts_are_rejected(self, tmp_path, capsys, name, value):
         rc = main(["bench", "--size", "5", f"--{name}", str(value), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
-        kwargs = {"trials": 2, "threads": 1, name: value}
         with pytest.raises(ValueError, match=name):
-            run_bench(m=5, n=5, delta=2.5, p=150.0, seed=0, **kwargs)
+            run_bench(m=5, n=5, delta=2.5, p=150.0, seed=0, **{name: value})
 
     @pytest.mark.parametrize(
         "argv",
@@ -599,6 +604,8 @@ class TestBench:
             (["fit", "data.csv", "--grid-step", "1", "--theta", "1"], "--seed=1"),
             (["sweep", "data.csv", "--p", "1", "--theta", "1"], "--seed=1"),
             (["repro"], "--seed=1"),
+            # bench sizes its pool from the usable CPUs
+            (["bench"], "--threads=2"),
         ],
     )
     def test_removed_aliases_are_refused(self, tmp_path, capsys, argv, flag):
@@ -645,21 +652,23 @@ GRID = ["--grid-lo", "-20", "--grid-hi", "20", "--grid-step", "0.125"]
         ["fit", "{data}", *GRID, "--p", "1", "--theta", "0.5"],
         ["sweep", "{data}", *GRID, "--p", "1,2", "--theta", "0.15,1"],
         ["gen-example", "2", "--seed", "3"],
-        ["bench", "--trials", "3", "--size", "30", "--threads", "{threads}"],
+        ["bench", "--trials", "3", "--size", "30"],
     ],
     ids=["solve", "solve-infeasible", "fit", "sweep", "gen-example", "bench"],
 )
-def test_a_command_writes_the_same_bytes_in_any_directory(worked_files, tmp_path, argv):
-    # nothing in the replay record names the output directory, or bench's thread count
+def test_a_command_writes_the_same_bytes_in_any_directory(worked_files, tmp_path, monkeypatch, argv):
+    # nothing in the replay record names the output directory, and bench's
+    # trials are the same on any number of usable CPUs
     a, b = worked_files
     (tmp_path / "A0.csv").write_text("0\n0\n")
     (tmp_path / "b0.csv").write_text("0\n5\n")
     main(["gen-example", "1", "--out", str(tmp_path)])
     paths = {"A": a, "b": b, "A0": tmp_path / "A0.csv", "b0": tmp_path / "b0.csv", "data": tmp_path / "example1.csv"}
     written = []
-    for run, threads in (("one", 1), ("other", 3)):
+    for run, cpus in (("one", 1), ("other", 3)):
+        monkeypatch.setattr(io_formats, "_usable_cpus", lambda: cpus)
         out = tmp_path / run / "out"
-        filled = [tok.format(threads=threads, **paths) for tok in argv]
+        filled = [tok.format(**paths) for tok in argv]
         assert main([*filled, "--out", str(out)]) in (0, 2)
         files = sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
         # bench_summary.json holds the run's wall time
@@ -720,9 +729,13 @@ class TestRepro:
 
 
 def test_cli_import_loads_no_scipy():
-    # a fresh interpreter on the tropfit under test; scipy loads only for --gradient-slopes
+    # a fresh interpreter on the tropfit under test; scipy loads only for
+    # --gradient-slopes, and concurrent.futures only for bench's pool
     src = str(Path(tropfit.__file__).resolve().parents[1])
-    code = "import sys, tropfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, tropfit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

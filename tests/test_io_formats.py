@@ -713,6 +713,17 @@ class TestRangedLoadHelpers:
             assert load_outcome(load, path) == load_outcome(parse, path.read_text())
         assert helpers == []
 
+    def test_more_usable_cpus_than_eight_cut_eight_ranges(self, tmp_path, monkeypatch):
+        path = tmp_path / "A.csv"
+        path.write_text(table_text())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        monkeypatch.setattr(io_formats, "_RANGE_BYTES", 1)
+        assert io_formats._usable_cpus() == 8
+        with path.open("rb") as fh:
+            bounds = io_formats._bounds(fh)
+        assert len(bounds) == 9 and bounds == sorted(set(bounds))
+        assert (bounds[0], bounds[-1]) == (0, path.stat().st_size)
+
     def test_a_file_given_as_a_descriptor_starts_no_helper(self, tmp_path, helpers):
         # it has no name that a helper could open
         path = tmp_path / "A.csv"

@@ -80,6 +80,28 @@ class TestPnorm:
         assert np.isfinite(got)
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0, -math.inf, math.nan], ids=["0", "-1", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: pnorm([1.0, 2.0], p),
+        lambda p: GreedyPath(GreedyState(A_REF, B_REF), p),
+        lambda p: GreedyState(A_REF, B_REF).error_norm_of([0], p),
+        lambda p: GreedyState(A_REF, B_REF).full_support_norm(p),
+        lambda p: submodularity_ratio(A_REF, B_REF, p, [], [0, 1]),
+        lambda p: submodularity_probe(A_REF, B_REF, p, trials=5, rng=0),
+        lambda p: FitProblem(p=p, theta=1.0),
+    ],
+    ids=["pnorm", "GreedyPath", "error_norm_of", "full_support_norm", "ratio", "probe", "FitProblem"],
+)
+def test_every_entry_point_refuses_an_order_that_is_not_positive(call, p):
+    # refused before any arithmetic, so with no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm order must be positive"):
+            call(p)
+
+
 class TestErrorFunctions:
     def test_singletons(self):
         state = GreedyState(A_REF, B_REF)
