@@ -16,7 +16,8 @@ approximately supermodular, so it carries no guarantee.
 error vectors, built once per (A, b); ``GreedyPath(GreedyState(A, b), p)``
 is one greedy run over it, and the run's only record: its picks and the
 error of each prefix, which the certificate reads.  Every budget, norm
-order and estimator on an instance shares the one build.  A may also be
+order, estimator and check on an instance (brute_force_oracle,
+submodularity_ratio, submodularity_probe) shares the one build.  A may be
 a design that hands out its columns a block at a time, as a fit's does:
 the build then never holds the design matrix, only e0 and one block.
 
@@ -306,12 +307,12 @@ class FitProblem:
     warning: they void the norm axioms and the supermodularity guarantee and
     are supported as an experimental quasi-norm mode only.
 
-    ``A`` and ``b`` are carried as given and checked by the solve that reads
-    them: greedy_sparse_solve and brute_force_oracle, the only readers, build
-    a GreedyState, whose tropical.principal_solution raises for an invalid
-    (A, b).  A problem for a GreedyPath or a fit, which ignore the data,
-    leaves them out: ``FitProblem(p=2, theta=1.0)``.  Every field after
-    ``b`` is keyword-only.
+    ``A`` and ``b`` are carried as given and checked by the one solve that
+    reads them: greedy_sparse_solve builds a GreedyState, whose
+    tropical.principal_solution raises for an invalid (A, b).  Everything
+    else takes the GreedyState itself and ignores the data, so a problem for
+    a GreedyPath, brute_force_oracle or a fit leaves them out:
+    ``FitProblem(p=2, theta=1.0)``.  Every field after ``b`` is keyword-only.
     """
 
     A: np.ndarray | None = None
@@ -728,16 +729,16 @@ def smmae_lift(sgle: SparseSolution) -> SparseSolution:
     )
 
 
-def brute_force_oracle(problem: FitProblem) -> SparseSolution:
-    """Exact minimum-support solution by exhaustive support enumeration.
+def brute_force_oracle(state: GreedyState, problem: FitProblem) -> SparseSolution:
+    """Exact minimum-support solution on ``state`` by exhaustive support enumeration.
 
     Independent verifier for the greedy: walks supports in order of
     increasing cardinality (lexicographic within) and returns the first that
-    meets the budget, which is optimal.  Infeasible is raised before any
-    walk, by the greedy's rule: the full support misses the budget.
-    Refuses n > BRUTE_FORCE_CAP.
+    meets ``problem``'s budget, which is optimal.  Like GreedyPath.solve, it
+    reads the problem's norm order, budget and estimator and ignores its
+    data.  Infeasible is raised before any walk, by the greedy's rule: the
+    full support misses the budget.  Refuses n > BRUTE_FORCE_CAP.
     """
-    state = GreedyState(problem.A, problem.b)
     if state.n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force refused: {state.n} columns > cap {BRUTE_FORCE_CAP}")
     p = problem.p
@@ -764,17 +765,13 @@ def _log_power_drop(norm_hi: float, norm_lo: float, p: float) -> float:
     return _log_diff_exp(la, lb)
 
 
-def submodularity_ratio(A, b, p: float, L, S) -> float:
+def submodularity_ratio(state: GreedyState, p: float, L, S) -> float:
     """Empirical submodularity ratio of the (negated) error function at (L, S).
 
-    sum_{x in S} [E(L) - E(L ∪ {x})] over [E(L) - E(L ∪ S)], with E in
-    p-th-power domain for finite p (log-domain arithmetic) and the halved
-    max-error for p = inf.  Returns inf when the denominator vanishes.
+    sum_{x in S} [E(L) - E(L ∪ {x})] over [E(L) - E(L ∪ S)] on ``state``,
+    with E in p-th-power domain for finite p (log-domain arithmetic) and the
+    halved max-error for p = inf.  Returns inf when the denominator vanishes.
     """
-    return _submodularity_ratio(GreedyState(A, b), p, L, S)
-
-
-def _submodularity_ratio(state: GreedyState, p: float, L, S) -> float:
     L = sorted(set(int(i) for i in L))
     S = sorted(set(int(i) for i in S))
     if set(L) & set(S) or not S:
@@ -815,17 +812,20 @@ _REL_TOL = 1e-9
 _LOG_NOISE_FLOOR = math.log(1e-12)
 
 
-def submodularity_probe(A, b, p: float, trials: int, rng=None) -> ProbeReport:
-    """Sample (C ⊆ B, k ∉ B) triples and check the supermodular inequality.
+def submodularity_probe(state: GreedyState, p: float, trials: int, rng=None) -> ProbeReport:
+    """Sample (C ⊆ B, k ∉ B) triples on ``state`` and check the supermodular inequality.
 
     For finite p the inequality E(C ∪ {k}) - E(C) <= E(B ∪ {k}) - E(B) and
     monotonicity E(B) <= E(C) are checked in p-th-power domain (log-domain
     comparison, relative slack 1e-9); violations are counted.  For p = inf
     the probe instead estimates the submodularity ratio: it samples disjoint
-    (L, S) pairs and reports the minimum ratio observed.
+    (L, S) pairs and reports the minimum ratio observed.  An order that is
+    not positive, or trials < 0, raises ValueError before any draw.
     """
+    _check_norm_order(p)
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got trials={trials}")
     rng = np.random.default_rng(rng)
-    state = GreedyState(A, b)
     n = state.n
     report = ProbeReport(p=p, trials=trials)
     if math.isinf(p):
@@ -839,7 +839,7 @@ def submodularity_probe(A, b, p: float, trials: int, rng=None) -> ProbeReport:
             joint = state.error_norm_of(np.concatenate([L, S]), p)
             if not base - joint > 0.0:
                 continue
-            ratio = _submodularity_ratio(state, p, L, S)
+            ratio = submodularity_ratio(state, p, L, S)
             report.ratio_samples += 1
             if ratio < report.min_ratio:
                 report.min_ratio = ratio

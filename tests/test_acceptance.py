@@ -36,6 +36,7 @@ from tropfit.regression import (
 )
 from tropfit.solver import (
     FitProblem,
+    GreedyPath,
     GreedyState,
     Infeasible,
     brute_force_oracle,
@@ -44,7 +45,6 @@ from tropfit.solver import (
     submodularity_probe,
     submodularity_ratio,
 )
-from tropfit.tropical import principal_solution
 
 NEG = -np.inf
 A_REF = np.array([[0.0, 5.0, 2.0], [4.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -65,13 +65,12 @@ def test_criterion_1_worked_example_exactness():
     tol = 1e-12
 
     def workload():
-        xhat = principal_solution(A_REF, B_REF)
         state = GreedyState(A_REF, B_REF)
         e_vals = [
             state.error_norm_of(T, math.inf) for T in ([2], [0, 2], [1, 2], [0, 1, 2])
         ]
-        ratio = submodularity_ratio(A_REF, B_REF, math.inf, [2], [0, 1])
-        return xhat, e_vals, ratio
+        ratio = submodularity_ratio(state, math.inf, [2], [0, 1])
+        return state.xhat, e_vals, ratio
 
     workload()  # warm the caches before timing
     best = math.inf
@@ -102,10 +101,10 @@ def test_criterion_2_greedy_vs_oracle():
         full = state.full_support_norm(p)
         empty = state.error_norm_of([], p)
         theta = full + float(rng.uniform(0, 1.15)) * max(empty - full, 0.0)
-        problem = FitProblem(A, b, p=p, theta=theta)
-        greedy = greedy_sparse_solve(problem)  # must not raise: theta >= ||e(J)||_p
+        problem = FitProblem(p=p, theta=theta)
+        greedy = GreedyPath(state, p).solve(problem)  # must not raise: theta >= ||e(J)||_p
         feasible += greedy.error_p <= theta
-        oracle = brute_force_oracle(problem)
+        oracle = brute_force_oracle(state, problem)
         if not greedy.support:
             ratio_ok += not oracle.support
         else:
@@ -124,9 +123,9 @@ def test_criterion_3_supermodularity_suite():
     triples = 0
     violations = 0
     for _ in range(50):
-        A, b = _random_instance(rng, 8)
+        state = GreedyState(*_random_instance(rng, 8))
         for p in (1, 2, 5, 150):
-            report = submodularity_probe(A, b, p, trials=5, rng=rng)
+            report = submodularity_probe(state, p, trials=5, rng=rng)
             triples += report.trials
             violations += report.supermodular_violations + report.monotonicity_violations
     ok = triples == 1000 and violations == 0

@@ -88,11 +88,12 @@ class TestPnorm:
         lambda p: GreedyPath(GreedyState(A_REF, B_REF), p),
         lambda p: GreedyState(A_REF, B_REF).error_norm_of([0], p),
         lambda p: GreedyState(A_REF, B_REF).full_support_norm(p),
-        lambda p: submodularity_ratio(A_REF, B_REF, p, [], [0, 1]),
-        lambda p: submodularity_probe(A_REF, B_REF, p, trials=5, rng=0),
+        lambda p: submodularity_ratio(GreedyState(A_REF, B_REF), p, [], [0, 1]),
+        lambda p: submodularity_probe(GreedyState(A_REF, B_REF), p, trials=5, rng=0),
+        lambda p: submodularity_probe(GreedyState(A_REF, B_REF), p, trials=0),
         lambda p: FitProblem(p=p, theta=1.0),
     ],
-    ids=["pnorm", "GreedyPath", "error_norm_of", "full_support_norm", "ratio", "probe", "FitProblem"],
+    ids=["pnorm", "GreedyPath", "error_norm_of", "full_support_norm", "ratio", "probe", "probe-no-trials", "FitProblem"],
 )
 def test_every_entry_point_refuses_an_order_that_is_not_positive(call, p):
     # refused before any arithmetic, so with no warning either
@@ -350,45 +351,44 @@ class TestSmmae:
 
 class TestBruteForceOracle:
     def test_linf_tight_budget_needs_all(self):
-        sol = brute_force_oracle(FitProblem(A_REF, B_REF, p=math.inf, theta=0.4))
+        sol = brute_force_oracle(GreedyState(A_REF, B_REF), FitProblem(p=math.inf, theta=0.4))
         assert sol.support == (0, 1, 2)
 
     def test_linf_half_budget_singleton(self):
-        sol = brute_force_oracle(FitProblem(A_REF, B_REF, p=math.inf, theta=0.5))
+        sol = brute_force_oracle(GreedyState(A_REF, B_REF), FitProblem(p=math.inf, theta=0.5))
         assert sol.support == (2,)
 
     def test_huge_budget_empty(self):
-        sol = brute_force_oracle(FitProblem(A_REF, B_REF, p=1, theta=1e9))
+        sol = brute_force_oracle(GreedyState(A_REF, B_REF), FitProblem(p=1, theta=1e9))
         assert sol.support == ()
 
     def test_linf_smmae_shift_applied(self):
-        sol = brute_force_oracle(
-            FitProblem(A_REF, B_REF, p=math.inf, theta=0.5, estimator="smmae")
-        )
+        sol = brute_force_oracle(GreedyState(A_REF, B_REF), FitProblem(p=math.inf, theta=0.5, estimator="smmae"))
         assert sol.support == (2,)
         assert sol.error_inf == 0.5  # half the unshifted max error of 1
 
     def test_refuses_large_instances(self):
         A = np.zeros((2, 21))
         with pytest.raises(ValueError, match="refused"):
-            brute_force_oracle(FitProblem(A, np.zeros(2), p=1, theta=1.0))
+            brute_force_oracle(GreedyState(A, np.zeros(2)), FitProblem(p=1, theta=1.0))
 
     def test_infeasible(self):
         A = np.array([[0.0], [0.0]])
         with pytest.raises(Infeasible):
-            brute_force_oracle(FitProblem(A, np.array([0.0, 5.0]), p=1, theta=1.0))
+            brute_force_oracle(GreedyState(A, np.array([0.0, 5.0])), FitProblem(p=1, theta=1.0))
 
     def test_infeasible_at_the_cap_raises_before_any_search(self, monkeypatch):
         A = np.zeros((2, 20))
         b = np.array([0.0, 5.0])
+        state = GreedyState(A, b)
         calls = []
         search = GreedyState.error_norm_of
         monkeypatch.setattr(
             GreedyState, "error_norm_of", lambda self, T, p: calls.append(T) or search(self, T, p)
         )
         with pytest.raises(Infeasible) as info:
-            brute_force_oracle(FitProblem(A, b, p=1, theta=1.0))
-        assert info.value.full_support_error == GreedyState(A, b).full_support_norm(1)
+            brute_force_oracle(state, FitProblem(p=1, theta=1.0))
+        assert info.value.full_support_error == state.full_support_norm(1)
         assert calls == []
 
     def test_never_beaten_by_greedy(self):
@@ -398,7 +398,7 @@ class TestBruteForceOracle:
             state = GreedyState(A, b)
             theta = state.full_support_norm(1) + rng.uniform(0, 2)
             prob = FitProblem(A, b, p=1, theta=theta)
-            assert len(brute_force_oracle(prob).support) <= len(greedy_sparse_solve(prob).support)
+            assert len(brute_force_oracle(state, prob).support) <= len(greedy_sparse_solve(prob).support)
 
 
 class TestProjectionOptimality:
@@ -435,18 +435,19 @@ class TestProjectionOptimality:
 
 class TestSubmodularity:
     def test_ratio_zero_on_worked_instance(self):
-        assert submodularity_ratio(A_REF, B_REF, math.inf, [2], [0, 1]) == 0.0
+        assert submodularity_ratio(GreedyState(A_REF, B_REF), math.inf, [2], [0, 1]) == 0.0
 
     def test_ratio_validates_sets(self):
+        state = GreedyState(A_REF, B_REF)
         with pytest.raises(ValueError):
-            submodularity_ratio(A_REF, B_REF, 1, [0], [0, 1])
+            submodularity_ratio(state, 1, [0], [0, 1])
         with pytest.raises(ValueError):
-            submodularity_ratio(A_REF, B_REF, 1, [0], [])
+            submodularity_ratio(state, 1, [0], [])
 
     def test_ratio_is_nan_with_an_uncoverable_row(self):
         # no column covers row 0, so E(L) is infinite and every drop is undefined
         A = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
-        assert math.isnan(submodularity_ratio(A, np.array([0.0, 1.0]), 2, [], [0, 1]))
+        assert math.isnan(submodularity_ratio(GreedyState(A, np.array([0.0, 1.0])), 2, [], [0, 1]))
 
     def test_finite_p_ratio_at_least_one(self):
         # supermodular E_p: every sampled ratio of -E_p is >= 1 (up to rounding)
@@ -459,24 +460,28 @@ class TestSubmodularity:
                     continue
                 perm = rng.permutation(n)
                 L, S = [int(perm[0])], [int(j) for j in perm[1 : 1 + rng.integers(1, n)]]
-                ratio = submodularity_ratio(A, b, p, L, S)
+                ratio = submodularity_ratio(GreedyState(A, b), p, L, S)
                 assert ratio >= 1.0 - 1e-9
 
     def test_probe_clean_for_finite_p(self):
         rng = np.random.default_rng(41)
         for p in (1, 2, 5, 150):
             A, b = random_instance(rng, 6)
-            report = submodularity_probe(A, b, p, trials=200, rng=rng)
+            report = submodularity_probe(GreedyState(A, b), p, trials=200, rng=rng)
             assert report.supermodular_violations == 0
             assert report.monotonicity_violations == 0
 
     def test_probe_inf_finds_zero_ratio(self):
-        report = submodularity_probe(A_REF, B_REF, math.inf, trials=400, rng=1)
+        report = submodularity_probe(GreedyState(A_REF, B_REF), math.inf, trials=400, rng=1)
         assert report.min_ratio == 0.0
 
     def test_probe_singleton_universe(self):
-        report = submodularity_probe(np.array([[1.0]]), np.array([2.0]), 2, trials=20, rng=0)
+        report = submodularity_probe(GreedyState(np.array([[1.0]]), np.array([2.0])), 2, trials=20, rng=0)
         assert report.supermodular_violations == 0
+
+    def test_probe_refuses_negative_trials(self):
+        with pytest.raises(ValueError, match=r"^need trials >= 0, got trials=-1$"):
+            submodularity_probe(GreedyState(A_REF, B_REF), 2, trials=-1)
 
 
 class TestFitProblem:
@@ -498,7 +503,7 @@ class TestFitProblem:
             assert FitProblem(None, None, p=0.5, epsilon=math.inf).budget == math.inf
 
     def test_budget_only_problem_needs_no_data(self):
-        # a problem for a GreedyPath or a fit leaves out A and b
+        # a problem for a GreedyPath, brute_force_oracle or a fit leaves out A and b
         short = FitProblem(p=2, epsilon=9.0, estimator="smmae")
         assert short == FitProblem(None, None, p=2, epsilon=9.0, estimator="smmae")
         assert (short.A, short.b, short.budget) == (None, None, pytest.approx(3.0))
@@ -516,14 +521,14 @@ class TestFitProblem:
             FitProblem(None, None, p=1, theta=-1.0)
         with pytest.raises(ValueError):
             FitProblem(A_REF, B_REF, p=1, theta=1.0, estimator="other")
-        # the data is checked by the solve that reads it
+        # the data is checked by the solve that reads it, through GreedyState
         bad_data = FitProblem(A_REF, np.array([1.0, NEG, 0.0]), p=1, theta=1.0)
         no_data = FitProblem(None, None, p=1, theta=1.0)
         for problem in (bad_data, no_data):
             with pytest.raises(ValueError):
                 greedy_sparse_solve(problem)
             with pytest.raises(ValueError):
-                brute_force_oracle(problem)
+                GreedyState(problem.A, problem.b)
 
 
 def eager_best_column(state, cur_error, in_support, p):
