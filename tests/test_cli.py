@@ -729,8 +729,8 @@ class TestRepro:
 
 
 def test_cli_import_loads_no_scipy():
-    # a fresh interpreter on the tropfit under test; scipy loads only for
-    # --gradient-slopes, and concurrent.futures only for bench's pool
+    # a fresh interpreter on the tropfit under test; no command loads scipy,
+    # and concurrent.futures loads only for bench's pool
     src = str(Path(tropfit.__file__).resolve().parents[1])
     code = (
         "import sys, tropfit.cli; "

@@ -1,8 +1,11 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tropfit import solver
+import tropfit
+from tropfit import regression, solver
 from tropfit.cli import example1_dataset, example2_dataset, example3_dataset
 from tropfit.regression import (
     Dataset,
@@ -202,13 +206,26 @@ def merge_near_duplicates(rows):
     return np.array(list(first.values()))
 
 
+def squared_distances(x):
+    """The m×m squared distances, summed over coordinates in order; inf past the float range."""
+    with np.errstate(over="ignore"):
+        d2 = (x[:, None, 0] - x[None, :, 0]) ** 2
+        for c in range(1, x.shape[1]):
+            d2 += (x[:, None, c] - x[None, :, c]) ** 2
+    return d2
+
+
+def nearest_oracle(x, k):
+    """Each point's k nearest points by sorting all of them by (distance, index)."""
+    d2 = squared_distances(x)
+    return np.array([sorted(range(len(x)), key=lambda j: (d2[i, j], j))[:k] for i in range(len(x))])
+
+
 def matrix_rank_gradients(data, k):
     """The local gradients of gradient_slopes, unmerged, with a separate
     matrix_rank test before each lstsq, and the count of skipped neighborhoods."""
-    from scipy.spatial import cKDTree
-
     n = data.dim
-    _, idx = cKDTree(data.x).query(data.x, k=k)
+    idx = nearest_oracle(data.x, k)
     slopes, skipped = [], 0
     design = np.empty((k, n + 1))
     design[:, n] = 1.0
@@ -323,6 +340,86 @@ class TestGradientSlopes:
         assert slopes_outcome(gradient_slopes, data, k) == slopes_outcome(matrix_rank_gradient_slopes, data, k)
 
 
+@st.composite
+def block_edge_points(draw):
+    """Points of one to three coordinates, many of them tied, at a block edge
+    of the neighbour search: one point, one block, one more, and k up to m."""
+    q = regression._KNN_QUERIES
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([1, 2, q - 1, q, q + 1, 2 * q, 2 * q + 1, 3 * q - 1]))
+    k = draw(st.sampled_from(sorted({1, min(2 * n + 1, m), m})))
+    grid = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
+    x = draw(arrays(np.float64, (m, n), elements=st.one_of(grid, grid, st.floats(-1e3, 1e3))))
+    return x, k
+
+
+def neighbour_distances(x, idx):
+    """The distances from each point to the points of its row of idx."""
+    d2 = np.zeros(idx.shape)
+    for c in range(x.shape[1]):
+        d2 += (x[idx, c] - x[:, None, c]) ** 2
+    return np.sqrt(d2)
+
+
+class TestNearest:
+    """gradient_slopes' neighbour search against sorting every point by (distance, index)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_datasets())
+    def test_equals_the_oracle_on_degenerate_points(self, case):
+        data, k = case
+        assert np.array_equal(regression._nearest(data.x, k), nearest_oracle(data.x, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_edge_points())
+    def test_equals_the_oracle_at_block_edges(self, case):
+        x, k = case
+        assert np.array_equal(regression._nearest(x, k), nearest_oracle(x, k))
+
+    def test_equals_the_oracle_on_example3(self):
+        x = example3_dataset().x
+        assert np.array_equal(regression._nearest(x, 7), nearest_oracle(x, 7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_datasets())
+    def test_distances_are_the_kd_trees(self, case):
+        from scipy.spatial import cKDTree  # a reference for the tests only
+
+        data, k = case
+        got = neighbour_distances(data.x, regression._nearest(data.x, k))
+        assert got.tobytes() == cKDTree(data.x).query(data.x, k=k)[0].tobytes()
+
+    def test_distances_past_the_float_range_read_inf(self):
+        # scipy's cKDTree gave such a neighbour the index m
+        x = np.array([[-1e308, 0.0], [0.0, 1e308], [1e308, -1e308], [5.0, 5.0], [1e308, 1e308], [0.0, 0.0]])
+        data = Dataset(x, np.arange(6.0))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(regression._nearest(x, 4), nearest_oracle(x, 4))
+        assert slopes_outcome(gradient_slopes, data, 4) == slopes_outcome(matrix_rank_gradient_slopes, data, 4)
+
+    def test_distances_are_the_kd_trees_on_many_points(self):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(3)
+        for x in (example3_dataset().x, rng.normal(size=(3000, 3)), np.round(rng.normal(0.0, 3.0, (800, 2)))):
+            k = 2 * x.shape[1] + 1
+            got = neighbour_distances(x, regression._nearest(x, k))
+            assert got.tobytes() == cKDTree(x).query(x, k=k)[0].tobytes()
+
+    def test_gradient_slopes_loads_no_scipy(self):
+        # a fresh interpreter on the tropfit under test
+        src = str(Path(tropfit.__file__).resolve().parents[1])
+        code = (
+            "import sys, warnings; warnings.simplefilter('ignore'); "
+            "from tropfit.cli import example3_dataset; from tropfit.regression import gradient_slopes; "
+            "gradient_slopes(example3_dataset()); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
+
+
 class TestDesignMatrix:
     def test_hand_example(self):
         d = Dataset([-2.0, 0.0, 2.0], [0.0, 0.0, 0.0])
@@ -379,6 +476,18 @@ def fit_instances(draw):
     return Dataset(x, f), SlopeSet(slopes)
 
 
+def papers_instance(example):
+    """The points and slopes of one of the paper's three fits."""
+    if example == 1:
+        return example1_dataset(), grid_slopes([-20.0], [20.0], 0.125)
+    if example == 2:
+        return example2_dataset(5), grid_slopes([-10.0, -10.0], [10.0, 10.0], 0.25)
+    data = example3_dataset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return data, gradient_slopes(data)
+
+
 class TestFitBuild:
     """The fit's blocked instance build against the build from the whole design matrix."""
 
@@ -396,29 +505,33 @@ class TestFitBuild:
     # OpenBLAS kernels that round each product: there the blocks are the whole
     # product x @ slopes.T, bit for bit; the AVX-512 kernels may round a
     # block's last columns otherwise
-    @pytest.mark.skipif(
+    without_fma = pytest.mark.skipif(
         os.environ.get("OPENBLAS_CORETYPE", "").lower() not in ("prescott", "nehalem", "sandybridge"),
         reason="needs an OpenBLAS kernel without FMA (OPENBLAS_CORETYPE=Prescott)",
     )
+
+    @without_fma
     @settings(max_examples=150, deadline=None)
     @given(fit_instances())
     def test_blocks_are_the_whole_product_without_fma(self, instance):
         data, slopes = instance
         assert build_design_matrix(data, slopes).tobytes() == (data.x @ slopes.slopes.T).tobytes()
 
+    @without_fma
+    def test_example3_design_is_the_whole_product_without_fma(self):
+        data, slopes = papers_instance(3)
+        assert build_design_matrix(data, slopes).tobytes() == (data.x @ slopes.slopes.T).tobytes()
+
     @pytest.mark.parametrize("example", [1, 2, 3])
     def test_the_papers_designs_are_the_whole_product(self, example):
-        # so the paper's fits read the same bits as from x @ slopes.T
-        if example == 1:
-            data, slopes = example1_dataset(), grid_slopes([-20.0], [20.0], 0.125)
-        elif example == 2:
-            data, slopes = example2_dataset(5), grid_slopes([-10.0, -10.0], [10.0, 10.0], 0.25)
-        else:
-            data = example3_dataset()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                slopes = gradient_slopes(data)
-        assert build_design_matrix(data, slopes).tobytes() == (data.x @ slopes.slopes.T).tobytes()
+        # so the paper's fits read the same bits as from x @ slopes.T; example 3's
+        # last block of 820 slopes rounds otherwise on AVX-512 kernels, so there
+        # the whole product is checked without FMA only
+        data, slopes = papers_instance(example)
+        state = GreedyState(_Design(data, slopes), data.f)
+        assert state_bytes(state) == state_bytes(whole_build(data, slopes))
+        if example != 3:
+            assert build_design_matrix(data, slopes).tobytes() == (data.x @ slopes.slopes.T).tobytes()
 
     def test_two_slope_blocks_of_many_points(self):
         # past 2^14 points a block holds two slopes, never one
